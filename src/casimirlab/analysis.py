@@ -112,25 +112,47 @@ class DifferentialSignal:
 def pav_increasing(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators fit: closest non-decreasing sequence to y.
 
-    Unweighted L2 projection; O(n) via the usual pooling stack.
+    Unweighted L2 projection. Adjacent violating blocks always end in the
+    same pool (Best & Chakravarti, Math. Prog. 47, 1990), so each pass
+    merges every maximal run of decreasing block means at once; passes
+    repeat until no adjacent pair violates.
     """
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    means = np.empty(n)
-    counts = np.empty(n, dtype=int)
-    top = 0
-    for v in y:
-        means[top] = v
-        counts[top] = 1
-        top += 1
-        while top > 1 and means[top - 2] > means[top - 1]:
-            tot = counts[top - 2] + counts[top - 1]
-            means[top - 2] = (
-                means[top - 2] * counts[top - 2] + means[top - 1] * counts[top - 1]
-            ) / tot
-            counts[top - 2] = tot
-            top -= 1
-    return np.repeat(means[:top], counts[:top])
+    sums = np.asarray(y, dtype=float)
+    counts = np.ones(len(sums))
+    while True:
+        means = sums / counts
+        drop = means[:-1] > means[1:]
+        if not drop.any():
+            return np.repeat(means, counts.astype(int))
+        labels = np.cumsum(np.concatenate(([False], ~drop)))
+        sums = np.bincount(labels, weights=sums)
+        counts = np.bincount(labels, weights=counts)
+
+
+def _quadratic_fit(x, y):
+    """Least-squares (c0, c1, c2) of y = c0 + c1*x + c2*x**2 along the last axis.
+
+    Solves the 3x3 normal equations in closed form (Cramer's rule, through
+    the cofactors of the symmetric moment matrix). x should be centred near
+    0, which keeps the equations well conditioned; c1 is then the slope at
+    x = 0.
+    """
+    x2 = x * x
+    s0 = x.shape[-1]
+    s1, s2, s3, s4 = x.sum(-1), x2.sum(-1), (x2 * x).sum(-1), (x2 * x2).sum(-1)
+    b0, b1, b2 = y.sum(-1), (y * x).sum(-1), (y * x2).sum(-1)
+    m00 = s2 * s4 - s3 * s3
+    m01 = s2 * s3 - s1 * s4
+    m02 = s1 * s3 - s2 * s2
+    m11 = s0 * s4 - s2 * s2
+    m12 = s1 * s2 - s0 * s3
+    m22 = s0 * s2 - s1 * s1
+    det = s0 * m00 + s1 * m01 + s2 * m02
+    return (
+        (m00 * b0 + m01 * b1 + m02 * b2) / det,
+        (m01 * b0 + m11 * b1 + m12 * b2) / det,
+        (m02 * b0 + m12 * b1 + m22 * b2) / det,
+    )
 
 
 def extract_tc0(
@@ -162,37 +184,27 @@ def extract_tc0(
     cand = cand[(cand >= half) & (cand < n - half)]
     if cand.size == 0:
         cand = np.arange(half, n - half)
+    # a quadratic needs 3 distinct temperatures in each window
+    rises = np.concatenate(([0], np.cumsum(np.diff(t) > 0)))
+    if np.any(rises[cand + half] - rises[cand - half] < 2):
+        raise SingularFit(
+            f"sweep {trace.sample_id} at {trace.field_mT} mT has a Tc0 window "
+            "with fewer than 3 distinct temperatures"
+        )
 
     windows_t = np.lib.stride_tricks.sliding_window_view(t, w)[cand - half]
     windows_r = np.lib.stride_tricks.sliding_window_view(r, w)[cand - half]
     # center each window on its candidate T so the linear coefficient is the
     # derivative there and the fit is exactly translation-equivariant
-    x = windows_t - t[cand, None]
-    s1 = x.sum(axis=1)
-    s2 = (x * x).sum(axis=1)
-    s3 = (x**3).sum(axis=1)
-    s4 = (x**4).sum(axis=1)
-    b0 = windows_r.sum(axis=1)
-    b1 = (windows_r * x).sum(axis=1)
-    b2 = (windows_r * x * x).sum(axis=1)
-    m = len(cand)
-    a_mat = np.empty((m, 3, 3))
-    a_mat[:, 0, 0] = w
-    a_mat[:, 0, 1] = a_mat[:, 1, 0] = s1
-    a_mat[:, 0, 2] = a_mat[:, 2, 0] = a_mat[:, 1, 1] = s2
-    a_mat[:, 1, 2] = a_mat[:, 2, 1] = s3
-    a_mat[:, 2, 2] = s4
-    rhs = np.stack([b0, b1, b2], axis=1)[..., None]
-    coeffs = np.linalg.solve(a_mat, rhs)
-    deriv = coeffs[:, 1, 0]
+    _, deriv, _ = _quadratic_fit(windows_t - t[cand, None], windows_r)
 
     peak = int(np.argmax(deriv))
     # refine the grid argmax by a parabola through the derivative curve
     # around the peak; fall back to the grid point at the candidate edges
-    lo, hi = max(0, peak - half), min(m, peak + half + 1)
+    lo, hi = max(0, peak - half), min(len(cand), peak + half + 1)
     if hi - lo >= 3:
         x = t[cand[lo:hi]] - t[cand[peak]]
-        c2, c1, _ = np.polyfit(x, deriv[lo:hi], 2)
+        _, c1, c2 = _quadratic_fit(x, deriv[lo:hi])
         if c2 < 0:
             vertex = -c1 / (2.0 * c2)
             span = x.max() - x.min()

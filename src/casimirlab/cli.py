@@ -1,15 +1,12 @@
 """Command-line entry points: simulate, analyze, report, example-config.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure. Internal parallelism over triplets is capped by the
-CASIMIR_LAB_THREADS environment variable (default 1); results are
-bit-identical for any thread count.
+failure.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 
 import click
@@ -25,14 +22,6 @@ from .simulate import run_campaign
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CASIMIR_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"CASIMIR_LAB_THREADS must be an integer, got {raw!r}")
 
 
 def _run(body):
@@ -80,7 +69,7 @@ def cmd_simulate(config_path, out_dir, seed, quiet):
             config = dataclasses.replace(
                 config, noise=dataclasses.replace(config.noise, seed=seed)
             )
-        triplets = run_campaign(config, max_workers=_thread_count())
+        triplets = run_campaign(config)
         manifest_path = write_dataset(out_dir, config, triplets)
         if not quiet:
             scenario = "thermal" if config.thermal is not None else "shielded"

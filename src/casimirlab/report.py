@@ -141,14 +141,16 @@ def write_report(run_dir, out_dir=None, n_curve: int = 101) -> Path:
         for r in film_rows
     ]
     h_data = [float(r["field_mT"]) for r in film_rows]
-    tc0_ratio = (
-        float(film_rows[0]["shift_uK"]) / float(film_rows[0]["delta_t"]) / 1e6
-        if float(film_rows[0]["delta_t"]) != 0
-        else 1.0
+    # film Tc0 from any row with a nonzero shift; when every shift is zero,
+    # so is the fitted parabola and Tc0 does not enter
+    tc0_K = next(
+        (float(r["shift_uK"]) / float(r["delta_t"]) / 1e6
+         for r in film_rows if float(r["delta_t"]) != 0),
+        0.0,
     )
     for h in np.linspace(min(h_data), max(h_data), n_curve):
         dt = a * h * h + b * h
-        rows.append(("fit", float(h), float(dt), 0.0, dt * tc0_ratio * 1e6, 0.0))
+        rows.append(("fit", float(h), float(dt), 0.0, dt * tc0_K * 1e6, 0.0))
     write_csv(
         out / "fig_parabola.csv",
         ("series", "field_mT", "delta_t", "sigma_delta_t", "shift_uK", "sigma_uK"),

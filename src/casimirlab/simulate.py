@@ -8,13 +8,12 @@ film and the in-cavity film.
 All randomness descends from a single master seed. Each sweep draws from
 its own generator whose sub-seed is a deterministic hash of
 (master seed, sample id, applied field, sweep start time), so a campaign
-can be generated in any order, or in parallel, with bit-identical results.
+can be generated in any order with bit-identical results.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,17 +281,11 @@ def campaign_schedule(config: CampaignConfig):
     return tasks
 
 
-def run_campaign(config: CampaignConfig, max_workers: int = 1):
+def run_campaign(config: CampaignConfig):
     """Generate the full dataset: one film and one cavity triplet per
-    (field, replication), in deterministic order regardless of parallelism.
+    (field, replication), in schedule order.
     """
-    tasks = campaign_schedule(config)
-
-    def job(task):
-        kind, h, rep, t0 = task
-        return run_triplet(config, kind, h, t0, rep)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(job, tasks))
-    return [job(t) for t in tasks]
+    return [
+        run_triplet(config, kind, h, t0, rep)
+        for kind, h, rep, t0 in campaign_schedule(config)
+    ]

@@ -162,7 +162,7 @@ def test_criterion_06_target_shift_recovery():
 
 def test_criterion_07_sensitivity():
     cfg = default_config(fields_mT=(7.2,), replications=24)
-    trips = [t for t in cl.run_campaign(cfg, max_workers=4) if t.kind == "film"]
+    trips = [t for t in cl.run_campaign(cfg) if t.kind == "film"]
     tc0 = sample_tc0(trips, cfg.film_sample_id, RN)
     reps = [drift_corrected_shift(t, tc0, rn_ohm=RN) for t in trips]
     sens = estimate_sensitivity(reps, tc0)
@@ -172,11 +172,11 @@ def test_criterion_07_sensitivity():
 
 def test_criterion_08_differential_signal():
     cfg = default_config(replications=10)
-    res = cl.analyze_campaign(cl.run_campaign(cfg, max_workers=4), RN)
+    res = cl.analyze_campaign(cl.run_campaign(cfg), RN)
     d = res.differential
 
     null_cfg = replace(cfg, cavity=replace(cfg.cavity, shift_max_uK=0.0))
-    null = cl.analyze_campaign(cl.run_campaign(null_cfg, max_workers=4), RN).differential
+    null = cl.analyze_campaign(cl.run_campaign(null_cfg), RN).differential
 
     ok = (
         5.5 <= d.max_gap_uK <= 8.5
@@ -194,7 +194,7 @@ def test_criterion_08_differential_signal():
 
 def test_criterion_09_thermal_scenario():
     cfg = default_config(replications=10, thermal=ThermalEnvironment())
-    d = cl.analyze_campaign(cl.run_campaign(cfg, max_workers=4), RN).differential
+    d = cl.analyze_campaign(cl.run_campaign(cfg), RN).differential
     ok = 240.0 <= d.max_gap_uK <= 320.0
     report(9, "thermal-photon scenario", ok, f"max gap {d.max_gap_uK:.1f} uK at {d.field_at_max_mT:.1f} mT")
 
@@ -207,7 +207,7 @@ def test_criterion_10_tilt_recovery():
         film = replace(default_film(), theta_rad=theta_rad)
         cfg = default_config(film=film, fields_mT=fields, replications=3)
         fit = cl.analyze_campaign(
-            cl.run_campaign(cfg, max_workers=4),
+            cl.run_campaign(cfg),
             RN,
             fit_threshold_mT=6.0,
             include_linear=True,
@@ -259,14 +259,13 @@ def test_criterion_11_determinism(tmp_path):
     cfg.write_text(DETERMINISM_CONFIG)
     runner = CliRunner()
 
-    def pipeline(out, threads):
-        env = {"CASIMIR_LAB_THREADS": threads}
+    def pipeline(out):
         for args in (
             ["simulate", "--config", str(cfg), "--out", str(out)],
             ["analyze", str(out)],
             ["report", str(out)],
         ):
-            result = runner.invoke(main, args, env=env, catch_exceptions=False)
+            result = runner.invoke(main, args, catch_exceptions=False)
             assert result.exit_code == 0, result.output
         chunks = [normalized_manifest_bytes(out)]
         for sub in ("sweeps", "analysis", "report"):
@@ -274,7 +273,5 @@ def test_criterion_11_determinism(tmp_path):
                 chunks.append(path.name.encode() + path.read_bytes())
         return b"".join(chunks)
 
-    rerun = pipeline(tmp_path / "a", "1") == pipeline(tmp_path / "b", "1")
-    threaded = pipeline(tmp_path / "c", "8") == pipeline(tmp_path / "a2", "1")
-    ok = rerun and threaded
-    report(11, "byte-identical determinism", ok, f"rerun {rerun}, threads 1 vs 8 {threaded}")
+    ok = pipeline(tmp_path / "a") == pipeline(tmp_path / "b")
+    report(11, "byte-identical determinism", ok, f"rerun {ok}")

@@ -23,7 +23,7 @@ from casimirlab import (
     invert_trace,
     run_triplet,
 )
-from casimirlab.analysis import default_levels, pav_increasing
+from casimirlab.analysis import _quadratic_fit, default_levels, pav_increasing
 from casimirlab.config import default_config
 from casimirlab.errors import (
     IncompleteTransition,
@@ -48,6 +48,35 @@ def logistic_trace(film, n=400, field=0.0, t_start=0.0):
     return generate_sweep("film", film, field, noise, t_start, 1200.0, n)
 
 
+def pav_reference(y):
+    """Pool-adjacent-violators by the classic one-point-at-a-time stack."""
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    means = np.empty(n)
+    counts = np.empty(n, dtype=int)
+    top = 0
+    for v in y:
+        means[top] = v
+        counts[top] = 1
+        top += 1
+        while top > 1 and means[top - 2] > means[top - 1]:
+            tot = counts[top - 2] + counts[top - 1]
+            means[top - 2] = (
+                means[top - 2] * counts[top - 2] + means[top - 1] * counts[top - 1]
+            ) / tot
+            counts[top - 2] = tot
+            top -= 1
+    return np.repeat(means[:top], counts[:top])
+
+
+def assert_matches_pav_reference(y):
+    fit = pav_increasing(y)
+    # floor at the smallest normal float: subnormal pools round in absolute steps
+    tol = 1e-12 * np.max(np.abs(y), initial=0.0) + np.finfo(float).tiny
+    assert fit.shape == np.shape(y)
+    np.testing.assert_allclose(fit, pav_reference(y), rtol=0.0, atol=tol)
+
+
 class TestPav:
     def test_identity_on_monotone(self):
         y = np.linspace(0, 1, 50)
@@ -61,6 +90,20 @@ class TestPav:
         y = np.array([3.0, 2.0, 1.0])
         assert np.allclose(pav_increasing(y), 2.0)
 
+    @pytest.mark.parametrize(
+        "y",
+        [
+            np.array([1.0, 2.0, 2.0, 2.0, 2.0, 0.5, 3.0]),  # plateau, then a drop
+            np.append(np.linspace(0.0, 1.0, 1199), 0.0),  # pools back one point per pass
+            np.linspace(5.0, -5.0, 300),  # all decreasing
+            np.array([]),
+            np.array([4.2]),
+        ],
+        ids=["plateau-drop", "ramp-low-end", "all-decreasing", "empty", "single"],
+    )
+    def test_matches_reference(self, y):
+        assert_matches_pav_reference(y)
+
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=60))
     @settings(max_examples=200)
     def test_l2_projection_properties(self, ys):
@@ -69,6 +112,54 @@ class TestPav:
         assert np.all(np.diff(fit) >= -1e-12)
         # pool means preserve the overall mean
         assert np.mean(fit) == pytest.approx(np.mean(y), abs=1e-9)
+        assert_matches_pav_reference(y)
+
+
+def tc0_lstsq_reference(trace, rn_ohm, window_frac=0.05):
+    """extract_tc0 with one np.linalg.lstsq per window, for comparison."""
+    order = np.argsort(trace.t_meas_K, kind="stable")
+    t, r = trace.t_meas_K[order], trace.r_meas_ohm[order]
+    n = len(t)
+    w = max(5, int(round(window_frac * n)) | 1)
+    half = w // 2
+    cand = np.nonzero((r > 0.05 * rn_ohm) & (r < 0.95 * rn_ohm))[0]
+    cand = cand[(cand >= half) & (cand < n - half)]
+
+    def quadratic(x, y):
+        return np.linalg.lstsq(np.vander(x, 3, increasing=True), y, rcond=None)[0]
+
+    deriv = np.array(
+        [quadratic(t[c - half:c + half + 1] - t[c], r[c - half:c + half + 1])[1] for c in cand]
+    )
+    peak = int(np.argmax(deriv))
+    lo, hi = max(0, peak - half), min(len(cand), peak + half + 1)
+    x = t[cand[lo:hi]] - t[cand[peak]]
+    _, c1, c2 = quadratic(x, deriv[lo:hi])
+    vertex = -c1 / (2.0 * c2)
+    assert c2 < 0 and abs(vertex) <= 0.5 * np.ptp(x)
+    return t[cand[peak]] + vertex
+
+
+class TestQuadraticFit:
+    def test_matches_polyfit_on_centred_windows(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            k = int(rng.integers(3, 80))
+            scale = 10.0 ** rng.uniform(-6, 1)
+            x = np.sort(rng.uniform(-scale, scale, k))
+            y = rng.normal(0.0, 1.0, 3) @ np.vstack([np.ones(k), x / scale, (x / scale) ** 2])
+            y += rng.normal(0.0, 0.1, k)
+            got = np.array(_quadratic_fit(x, y))
+            np.testing.assert_allclose(got, np.polyfit(x, y, 2)[::-1], rtol=1e-9)
+
+    @pytest.mark.parametrize("n", [300, 1200])
+    def test_extract_tc0_matches_lstsq_reference(self, film, n):
+        for seed in range(5):
+            noise = NoiseModel(sigma_fast_uK=3.0, seed=seed)
+            tr = generate_sweep("film", film, 0.0, noise, 0.0, 1200.0, n)
+            assert extract_tc0(tr, film.rn_ohm) == pytest.approx(
+                tc0_lstsq_reference(tr, film.rn_ohm), abs=1e-12
+            )
 
 
 class TestExtractTc0:
@@ -90,6 +181,13 @@ class TestExtractTc0:
         clipped = make_trace(tr.t_meas_K[top_half], tr.r_meas_ohm[top_half])
         with pytest.raises(IncompleteTransition):
             extract_tc0(clipped, film.rn_ohm)
+
+    def test_quantized_temperatures_singular(self):
+        # 0.4 mK read-out steps put fewer than 3 distinct T in some windows
+        t = np.repeat(1.5 + np.arange(-12, 12) * 4e-4, 25)
+        r = 300.0 / (1.0 + np.exp(-(t - 1.5) / 1e-3))
+        with pytest.raises(SingularFit):
+            extract_tc0(make_trace(t, r), 300.0)
 
     def test_noisy_recovery_within_10uK(self, film):
         errs = []
@@ -348,7 +446,7 @@ class TestDifferentialAndSensitivity:
             fields_mT=(0.5, 1.0, 2.0, 3.0, 5.0, 7.2, 8.0, 9.0, 10.0),
             replications=reps,
         )
-        trips = run_campaign(cfg, max_workers=4)
+        trips = run_campaign(cfg)
         return analyze_campaign(trips, rn_ohm=film.rn_ohm)
 
     def test_noiseless_gap_is_plateau(self, film):

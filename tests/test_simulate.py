@@ -133,10 +133,13 @@ class TestRunCampaign:
             replications=2,
             points_per_sweep=100,
         )
-        serial = run_campaign(cfg, max_workers=1)
-        parallel = run_campaign(cfg, max_workers=8)
-        assert len(serial) == len(parallel) == 8
-        for a, b in zip(serial, parallel):
+        forward = run_campaign(cfg)
+        backward = [
+            run_triplet(cfg, kind, h, t0, rep)
+            for kind, h, rep, t0 in reversed(campaign_schedule(cfg))
+        ][::-1]
+        assert len(forward) == len(backward) == 8
+        for a, b in zip(forward, backward):
             assert a.kind == b.kind and a.field_mT == b.field_mT
             for (_, ta), (_, tb) in zip(a.sweeps(), b.sweeps()):
                 assert np.array_equal(ta.t_meas_K, tb.t_meas_K)
