@@ -9,7 +9,6 @@ manifest, not in filenames (the filenames merely encode it readably).
 from __future__ import annotations
 
 import json
-import math
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,6 +23,17 @@ MANIFEST_NAME = "manifest.json"
 SWEEP_DIR = "sweeps"
 
 SWEEP_COLUMNS = ("tau_s", "T_meas_K", "R_meas_ohm")
+# key -> type of every sweep entry (role "sweep") in the manifest's "files" list
+SWEEP_ENTRY_TYPES = {
+    "path": str,
+    "sample_id": str,
+    "kind": str,
+    "field_mT": (int, float),
+    "applied_field_mT": (int, float),
+    "replication": int,
+    "position": str,
+    "t_start_s": (int, float),
+}
 
 
 def fmt(x: float) -> str:
@@ -47,28 +57,49 @@ def sweep_filename(trace: SweepTrace, field_mT: float, replication: int, positio
 
 
 def write_sweep_csv(path, trace: SweepTrace) -> None:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for tau, t, r in zip(trace.tau_s, trace.t_meas_K, trace.r_meas_ohm):
-        lines.append(f"{fmt(tau)},{fmt(t)},{fmt(r)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write one sweep; the body is rendered by a single %-format in C."""
+    data = np.column_stack((trace.tau_s, trace.t_meas_K, trace.r_meas_ohm))
+    body = ("%.17g,%.17g,%.17g\n" * len(data)) % tuple(data.ravel().tolist())
+    Path(path).write_text(",".join(SWEEP_COLUMNS) + "\n" + body)
 
 
 def read_sweep_csv(path, sample_id: str, kind: str, field_mT: float, t_start_s: float) -> SweepTrace:
-    rows = Path(path).read_text().splitlines()
-    if not rows or rows[0] != ",".join(SWEEP_COLUMNS):
-        raise DataError(f"{path}: missing or wrong sweep header")
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise DataError(f"{path}: malformed sweep data")
-    return SweepTrace(
-        sample_id=sample_id,
-        kind=kind,
-        field_mT=field_mT,
-        t_start_s=t_start_s,
-        tau_s=data[:, 0],
-        t_meas_K=data[:, 1],
-        r_meas_ohm=data[:, 2],
-    )
+    """Parse one sweep file; any malformed content is a DataError naming it."""
+    try:
+        with open(path) as f:
+            if f.readline().rstrip("\n") != ",".join(SWEEP_COLUMNS):
+                raise DataError(f"{path}: missing or wrong sweep header")
+            # loadtxt warns and returns no rows on a body without data
+            start = f.tell()
+            if not f.readline().strip():
+                raise DataError(f"{path}: no data on line 2")
+            f.seek(start)
+            data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: malformed sweep data: {exc}") from exc
+    if data.shape[1] != len(SWEEP_COLUMNS):
+        raise DataError(
+            f"{path}: {data.shape[1]} columns, expected {len(SWEEP_COLUMNS)}"
+        )
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        # loadtxt skips empty lines, so map the data row back to its line
+        body = Path(path).read_text().splitlines()[1:]
+        lines = [n for n, line in enumerate(body, 2) if line]
+        line = lines[int(np.argmin(finite))]
+        raise DataError(f"{path}: line {line}: non-finite reading")
+    try:
+        return SweepTrace(
+            sample_id=sample_id,
+            kind=kind,
+            field_mT=field_mT,
+            t_start_s=t_start_s,
+            tau_s=data[:, 0],
+            t_meas_K=data[:, 1],
+            r_meas_ohm=data[:, 2],
+        )
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_csv(path, columns, rows) -> None:
@@ -132,38 +163,44 @@ def read_manifest(run_dir) -> dict:
     if not path.exists():
         raise DataError(f"no {MANIFEST_NAME} found in {run_dir}")
     try:
-        return json.loads(path.read_text())
+        manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: not a JSON object")
+    return manifest
 
 
-def load_dataset(run_dir):
-    """Read a simulated dataset back from disk.
+def sweep_groups(run_dir, manifest: dict) -> list:
+    """Group the manifest's sweep entries into triplets without reading them.
 
-    Returns (config, triplets). Raises IncompleteTriplet naming the
-    offending (sample, field, replication) combinations if any trio is
-    missing members.
+    Returns [((sample_id, field_mT, replication), {position: entry})] sorted
+    by key. Raises DataError for a malformed entry or a listed file that is
+    missing, and IncompleteTriplet naming the (sample, field, replication)
+    combinations whose trio lacks members.
     """
     run_dir = Path(run_dir)
-    manifest = read_manifest(run_dir)
-    config = config_from_dict(manifest["config"])
-
+    manifest_path = run_dir / MANIFEST_NAME
+    entries = manifest.get("files")
+    if not isinstance(entries, list):
+        raise DataError(f"{manifest_path}: no 'files' list")
     groups = {}
-    for entry in manifest["files"]:
+    for n, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DataError(f"{manifest_path}: files[{n}] is not an object")
         if entry.get("role") != "sweep":
             continue
+        bad = [k for k, want in SWEEP_ENTRY_TYPES.items() if not isinstance(entry.get(k), want)]
+        if bad:
+            raise DataError(
+                f"{manifest_path}: files[{n}] ({entry.get('path', 'no path')}) "
+                f"lacks or mistypes {', '.join(bad)}"
+            )
         path = run_dir / entry["path"]
         if not path.exists():
             raise DataError(f"manifest lists missing file {path}")
-        trace = read_sweep_csv(
-            path,
-            entry["sample_id"],
-            entry["kind"],
-            entry["applied_field_mT"],
-            entry["t_start_s"],
-        )
         key = (entry["sample_id"], entry["field_mT"], entry["replication"])
-        groups.setdefault(key, {})[entry["position"]] = trace
+        groups.setdefault(key, {})[entry["position"]] = entry
 
     incomplete = sorted(
         key for key, sweeps in groups.items() if set(sweeps) != {"pre", "mid", "post"}
@@ -171,19 +208,43 @@ def load_dataset(run_dir):
     if incomplete:
         listing = ", ".join(f"{s} at {f} mT rep {r}" for s, f, r in incomplete)
         raise IncompleteTriplet(f"incomplete triplets: {listing}")
-
-    triplets = [
-        TripletRecord(
-            pre=sweeps["pre"],
-            mid=sweeps["mid"],
-            post=sweeps["post"],
-            field_mT=field,
-            replication=rep,
-        )
-        for (sample, field, rep), sweeps in sorted(groups.items())
-    ]
-    if not triplets:
+    if not groups:
         raise DataError(f"no sweeps found in {run_dir}")
+    return sorted(groups.items())
+
+
+def read_triplet(run_dir, group) -> TripletRecord:
+    """Parse the three sweep files of one group from `sweep_groups`."""
+    run_dir = Path(run_dir)
+    (_, field, rep), entries = group
+    sweeps = {
+        position: read_sweep_csv(
+            run_dir / e["path"], e["sample_id"], e["kind"], e["applied_field_mT"], e["t_start_s"]
+        )
+        for position, e in entries.items()
+    }
+    try:
+        return TripletRecord(
+            pre=sweeps["pre"], mid=sweeps["mid"], post=sweeps["post"],
+            field_mT=field, replication=rep,
+        )
+    except ValueError as exc:
+        paths = ", ".join(str(run_dir / entries[p]["path"]) for p in ("pre", "mid", "post"))
+        raise DataError(f"{paths}: {exc}") from exc
+
+
+def load_dataset(run_dir):
+    """Read a simulated dataset back from disk.
+
+    Returns (config, triplets), the triplets sorted by (sample, field,
+    replication). Raises IncompleteTriplet naming the offending (sample,
+    field, replication) combinations if any trio is missing members.
+    """
+    manifest = read_manifest(run_dir)
+    if "config" not in manifest:
+        raise DataError(f"{Path(run_dir) / MANIFEST_NAME}: no 'config' snapshot")
+    config = config_from_dict(manifest["config"])
+    triplets = [read_triplet(run_dir, group) for group in sweep_groups(run_dir, manifest)]
     return config, triplets
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .io import fmt, load_dataset, read_manifest, write_csv
+from .io import fmt, read_manifest, read_triplet, sweep_groups, write_csv
 from .pipeline import AnalysisResult
 
 ANALYSIS_DIR = "analysis"
@@ -157,12 +157,20 @@ def write_report(run_dir, out_dir=None, n_curve: int = 101) -> Path:
         rows,
     )
 
-    # Fig 5 style: R vs T for one film triplet, at the field closest to 7.2 mT
-    config, triplets = load_dataset(run_dir)
-    film_trips = [t for t in triplets if t.kind == "film" and t.field_mT != 0]
-    if not film_trips:
+    # Fig 5 style: R vs T for one film triplet, at the field closest to 7.2 mT;
+    # only that triplet's sweeps are parsed
+    manifest = read_manifest(run_dir)
+    film_groups = [
+        ((sample, field, rep), entries)
+        for (sample, field, rep), entries in sweep_groups(run_dir, manifest)
+        if entries["mid"]["kind"] == "film" and field != 0
+    ]
+    if not film_groups:
         raise DataError("no in-field film triplets available for fig_triplet")
-    pick = min(film_trips, key=lambda t: (abs(abs(t.field_mT) - 7.2), t.replication))
+    # first minimum in (sample, field, replication) order: at +-H, -H wins
+    pick = read_triplet(
+        run_dir, min(film_groups, key=lambda g: (abs(abs(g[0][1]) - 7.2), g[0][2]))
+    )
     rows = []
     for position, trace in pick.sweeps():
         rows.extend(
@@ -176,7 +184,6 @@ def write_report(run_dir, out_dir=None, n_curve: int = 101) -> Path:
     )
 
     # Fig 4 style: per-kind recovered shift curves, thermal campaigns only
-    manifest = read_manifest(run_dir)
     if "thermal" in manifest.get("config", {}):
         rows = []
         for kind in ("film", "cavity"):

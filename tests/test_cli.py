@@ -9,7 +9,15 @@ from click.testing import CliRunner
 from casimirlab.cli import main
 from casimirlab.config import config_from_dict, config_to_dict, default_config, load_config, write_example_config
 from casimirlab.errors import ConfigError, IncompleteTriplet
-from casimirlab.io import load_dataset, normalized_manifest_bytes, read_manifest
+from casimirlab.io import (
+    SWEEP_COLUMNS,
+    load_dataset,
+    normalized_manifest_bytes,
+    read_manifest,
+    read_sweep_csv,
+    write_sweep_csv,
+)
+from casimirlab.simulate import SweepTrace
 
 SMALL_CONFIG = """
 [film]
@@ -55,6 +63,23 @@ def run_ok(runner, args, env=None):
     result = runner.invoke(main, args, env=env, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     return result
+
+
+def simulate_run(runner, tmp_path, config_text, name="run"):
+    cfg = tmp_path / f"{name}.ini"
+    cfg.write_text(config_text)
+    out = tmp_path / name
+    run_ok(runner, ["simulate", "--config", str(cfg), "--out", str(out)])
+    return out
+
+
+def write_sweep_csv_reference(path, trace):
+    """The per-float sweep writer, kept to pin the file format."""
+    lines = [",".join(SWEEP_COLUMNS)]
+    for tau, t, r in zip(trace.tau_s, trace.t_meas_K, trace.r_meas_ohm):
+        lines.append(f"{format(float(tau), '.17g')},{format(float(t), '.17g')},"
+                     f"{format(float(r), '.17g')}")
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestConfig:
@@ -143,6 +168,176 @@ class TestSimulateCommand:
             for (_, td), (_, tm) in zip(disk.sweeps(), mem.sweeps()):
                 assert np.array_equal(td.t_meas_K, tm.t_meas_K)
                 assert np.array_equal(td.r_meas_ohm, tm.r_meas_ohm)
+
+
+class TestSweepCsv:
+    @staticmethod
+    def awkward_trace():
+        rng = np.random.default_rng(5)
+        n = 60
+        tau = np.arange(n, dtype=float) * 20.0  # integer-valued times
+        tau[7:] += 0.1 + 0.2  # 17 digits needed
+        t = 1.5 + 1e-3 * rng.standard_normal(n)
+        t[:6] = (-0.0, 5e-324, 1e300, -1e-300, 1 / 3, np.nextafter(1.5, 2.0))
+        r = 300.0 * rng.random(n)
+        r[:4] = (0.0, -0.0, 2.2250738585072014e-308, 1.7976931348623157e308)
+        return SweepTrace("film01", "film", 7.2, 0.0, tau, t, r)
+
+    def test_bytes_match_reference_writer(self, tmp_path):
+        trace = self.awkward_trace()
+        write_sweep_csv(tmp_path / "new.csv", trace)
+        write_sweep_csv_reference(tmp_path / "ref.csv", trace)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_read_back_bit_exact(self, tmp_path):
+        trace = self.awkward_trace()
+        write_sweep_csv(tmp_path / "s.csv", trace)
+        back = read_sweep_csv(tmp_path / "s.csv", "film01", "film", 7.2, 0.0)
+        for a, b in ((back.tau_s, trace.tau_s), (back.t_meas_K, trace.t_meas_K),
+                     (back.r_meas_ohm, trace.r_meas_ohm)):
+            assert np.array_equal(a, b)
+            # array_equal treats -0.0 == 0.0; the bit patterns must agree too
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _edit_line(path, line, edit):
+    lines = path.read_text().splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_cell(column, value):
+    def edit(row):
+        cells = row.split(",")
+        cells[column] = value
+        return ",".join(cells)
+    return edit
+
+
+def _swap_rows(path):
+    lines = path.read_text().splitlines()
+    lines[5], lines[6] = lines[6], lines[5]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _truncate(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:21]) + "\n")
+
+
+def _sweep_edit(edit):
+    """Mutation of the second sweep file listed in the manifest."""
+    def mutate(run_dir):
+        victim = read_manifest(run_dir)["files"][1]["path"]
+        edit(run_dir / victim)
+        return victim.split("/")[-1]
+    return mutate
+
+
+def _manifest_edit(edit, named_file=None):
+    """Mutation of the manifest; the error names files[named_file] or the manifest."""
+    def mutate(run_dir):
+        manifest = read_manifest(run_dir)
+        victim = "manifest.json" if named_file is None else manifest["files"][named_file]["path"]
+        manifest = edit(manifest)
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        return victim.split("/")[-1]
+    return mutate
+
+
+def _drop_t_start(manifest):
+    del manifest["files"][1]["t_start_s"]
+    return manifest
+
+
+def _set_entry(index, key, value):
+    def edit(manifest):
+        manifest["files"][index][key] = value
+        return manifest
+    return edit
+
+
+def _swap_pre_post_times(manifest):
+    files = manifest["files"]
+    pre = next(e for e in files if e["position"] == "pre")
+    post = next(e for e in files if e["position"] == "post" and e["sample_id"] == pre["sample_id"])
+    pre["t_start_s"], post["t_start_s"] = post["t_start_s"], pre["t_start_s"]
+    return manifest
+
+
+# each mutation damages one sweep file or the manifest and returns the name of
+# the file the error must name
+MUTATIONS = {
+    "non-numeric cell": _sweep_edit(lambda p: _edit_line(p, 4, _set_cell(1, "abc"))),
+    "short row": _sweep_edit(lambda p: _edit_line(p, 9, lambda row: row.rsplit(",", 1)[0])),
+    "extra column": _sweep_edit(lambda p: _edit_line(p, 9, lambda row: row + ",1.0")),
+    "two columns throughout": _sweep_edit(lambda p: p.write_text(
+        "tau_s,T_meas_K,R_meas_ohm\n"
+        + "".join(row.rsplit(",", 1)[0] + "\n" for row in p.read_text().splitlines()[1:]))),
+    "header only": _sweep_edit(lambda p: p.write_text(p.read_text().splitlines()[0] + "\n")),
+    "too few rows": _sweep_edit(_truncate),
+    "times not increasing": _sweep_edit(_swap_rows),
+    "nan reading": _sweep_edit(lambda p: _edit_line(p, 30, _set_cell(1, "nan"))),
+    "inf reading": _sweep_edit(lambda p: _edit_line(p, 30, _set_cell(2, "-inf"))),
+    "not text": _sweep_edit(lambda p: p.write_bytes(b"\xff\xfe\x00garbage")),
+    "entry lacks t_start_s": _manifest_edit(_drop_t_start, named_file=1),
+    "field_mT not a number": _manifest_edit(_set_entry(1, "field_mT", "7.2"), named_file=1),
+    "path not a string": _manifest_edit(_set_entry(1, "path", 5)),
+    "triplet out of chronological order": _manifest_edit(_swap_pre_post_times, named_file=0),
+    "manifest not an object": _manifest_edit(lambda m: [m]),
+    "no files list": _manifest_edit(lambda m: {**m, "files": None}),
+    "file entry not an object": _manifest_edit(lambda m: {**m, "files": m["files"] + [7]}),
+    "no config snapshot": _manifest_edit(lambda m: {k: v for k, v in m.items() if k != "config"}),
+}
+
+
+class TestMalformedInput:
+    @pytest.fixture
+    def run_dir(self, runner, tmp_path):
+        return simulate_run(runner, tmp_path, SMALL_CONFIG)
+
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_analyze_exits_3_naming_file(self, runner, run_dir, mutation):
+        victim = MUTATIONS[mutation](run_dir)
+        result = runner.invoke(main, ["analyze", str(run_dir)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "data error" in result.stderr
+        assert victim in result.stderr
+
+    def test_non_finite_message_names_line(self, runner, run_dir):
+        victim = run_dir / read_manifest(run_dir)["files"][2]["path"]
+        _edit_line(victim, 10, lambda row: row + "\n")  # loadtxt skips empty lines
+        _edit_line(victim, 30, _set_cell(0, "nan"))
+        result = runner.invoke(main, ["analyze", str(run_dir)])
+        assert result.exit_code == 3
+        assert f"{victim}: line 30: non-finite" in result.stderr
+
+
+class TestLibraryMatchesCli:
+    def test_cli_shifts_match_in_process_analysis(self, runner, tmp_path):
+        config_text = (
+            SMALL_CONFIG.replace("fields_mT = 7.2", "fields_mT = 2 5 7.2 9 10")
+            .replace("replications = 1", "replications = 2")
+        )
+        out = simulate_run(runner, tmp_path, config_text)
+        run_ok(runner, ["analyze", str(out)])
+        from casimirlab import analyze_campaign, run_campaign
+
+        config = load_config(tmp_path / "run.ini")
+        result = analyze_campaign(run_campaign(config), rn_ohm=config.film.rn_ohm)
+        lines = (out / "analysis" / "shifts.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        cli = {}
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            cli[(row["sample_id"], float(row["field_mT"]), int(row["replication"]))] = row
+        assert len(cli) == len(result.estimates) == 2 * 5 * 2
+        for e in result.estimates:
+            row = cli.pop((e.sample_id, e.field_mT, e.replication))
+            assert float(row["delta_t"]) == pytest.approx(e.delta_t, rel=1e-12, abs=1e-300)
+            assert float(row["sigma_delta_t"]) == pytest.approx(e.sigma_delta_t, rel=1e-12)
+        assert not cli
 
 
 class TestAnalyzeCommand:
@@ -257,6 +452,43 @@ class TestReportCommand:
         field, delta_t, _, shift_uK, _ = fit_rows[-1]
         assert field == 10.0
         assert shift_uK == pytest.approx(delta_t * 1.5e6, rel=1e-4)
+
+    @pytest.fixture
+    def plus_minus_run(self, runner, tmp_path):
+        out = simulate_run(
+            runner, tmp_path,
+            SMALL_CONFIG.replace("fields_mT = 7.2", "fields_mT = -7.2 2 7.2 9 10")
+            .replace("replications = 1", "replications = 2"),
+        )
+        run_ok(runner, ["analyze", str(out)])
+        return out
+
+    def test_triplet_pick_prefers_negative_field_rep0(self, runner, plus_minus_run):
+        run_ok(runner, ["report", str(plus_minus_run)])
+        rows = [
+            row.split(",")
+            for row in (plus_minus_run / "report" / "fig_triplet.csv").read_text().splitlines()[1:]
+        ]
+        mid = [r for r in rows if r[0] == "mid"]
+        assert {float(r[1]) for r in mid} == {-7.2}
+        sweep = plus_minus_run / "sweeps" / "film01_film_m0007200uT_rep000_mid.csv"
+        expected = [line.split(",") for line in sweep.read_text().splitlines()[1:]]
+        assert [r[2:] for r in mid] == expected
+
+    def test_missing_unplotted_sweep_exits_3(self, runner, plus_minus_run):
+        victim = plus_minus_run / "sweeps" / "cav01_cavity_p0002000uT_rep001_post.csv"
+        victim.unlink()
+        result = runner.invoke(main, ["report", str(plus_minus_run)])
+        assert result.exit_code == 3
+        assert victim.name in result.stderr
+
+    def test_corrupt_unplotted_sweep_not_parsed_by_report(self, runner, plus_minus_run):
+        victim = plus_minus_run / "sweeps" / "cav01_cavity_p0002000uT_rep001_post.csv"
+        _edit_line(victim, 4, _set_cell(1, "abc"))
+        run_ok(runner, ["report", str(plus_minus_run)])
+        result = runner.invoke(main, ["analyze", str(plus_minus_run)])
+        assert result.exit_code == 3
+        assert victim.name in result.stderr
 
     def test_report_requires_analysis(self, runner, tmp_path, small_config):
         out = tmp_path / "run"
