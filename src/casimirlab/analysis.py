@@ -322,6 +322,18 @@ def drift_corrected_shift(
     )
 
 
+def _weights(sigma):
+    """Inverse-variance weights; uniform when every sigma vanishes (noiseless data).
+
+    Sigmas are floored at 1e-3 of the smallest nonzero one, so that one
+    exact estimate cannot take all the weight.
+    """
+    if not np.any(sigma):
+        return np.ones_like(sigma)
+    floor = 1e-3 * np.min(sigma[sigma > 0])
+    return 1.0 / np.maximum(sigma, floor) ** 2
+
+
 def fit_parabola(
     estimates,
     field_threshold_mT: float,
@@ -340,12 +352,7 @@ def fit_parabola(
         )
     h = np.array([e.field_mT for e in sel])
     y = np.array([e.delta_t for e in sel])
-    sig = np.array([e.sigma_delta_t for e in sel])
-    if np.all(sig == 0):
-        w = np.ones_like(sig)
-    else:
-        floor = 1e-3 * np.min(sig[sig > 0])
-        w = 1.0 / np.maximum(sig, floor) ** 2
+    w = _weights(np.array([e.sigma_delta_t for e in sel]))
 
     cols = [h * h]
     if include_linear:
@@ -378,28 +385,22 @@ def fit_parabola(
     )
 
 
-def _aggregate_by_field(estimates):
-    """Inverse-variance weighted mean per unique field, sorted by field."""
-    by_field = {}
-    for e in estimates:
-        by_field.setdefault(e.field_mT, []).append(e)
-    fields, means, variances = [], [], []
-    for f in sorted(by_field):
-        group = by_field[f]
-        y = np.array([e.delta_t for e in group])
-        sig = np.array([e.sigma_delta_t for e in group])
-        if np.all(sig == 0):
-            mean = float(np.mean(y))
-            var = 0.0
-        else:
-            floor = 1e-3 * np.min(sig[sig > 0])
-            w = 1.0 / np.maximum(sig, floor) ** 2
-            mean = float(np.sum(w * y) / np.sum(w))
-            var = float(1.0 / np.sum(w))
-        fields.append(f)
-        means.append(mean)
-        variances.append(var)
-    return np.array(fields), np.array(means), np.array(variances)
+def field_means(field_mT, y, sigma):
+    """Inverse-variance weighted mean of y per unique field, sorted by field.
+
+    Returns (fields, means, variances); a field whose sigmas all vanish
+    gets the plain mean and variance 0.
+    """
+    field_mT, y, sigma = np.asarray(field_mT), np.asarray(y), np.asarray(sigma)
+    # not np.unique, which imports numpy.ma (about 1.3 MB) on first use
+    fields = np.array(sorted(set(field_mT.tolist())))
+    means, variances = [], []
+    for f in fields:
+        sel = field_mT == f
+        w = _weights(sigma[sel])
+        means.append(np.sum(w * y[sel]) / np.sum(w))
+        variances.append(1.0 / np.sum(w) if np.any(sigma[sel]) else 0.0)
+    return fields, np.array(means), np.array(variances)
 
 
 def differential_signal(
@@ -417,7 +418,11 @@ def differential_signal(
     """
     if len(cavity_estimates) < 2:
         raise InsufficientData("differential signal needs >= 2 cavity estimates")
-    fields, cav_dt, cav_var = _aggregate_by_field(cavity_estimates)
+    fields, cav_dt, cav_var = field_means(
+        [e.field_mT for e in cavity_estimates],
+        [e.delta_t for e in cavity_estimates],
+        [e.sigma_delta_t for e in cavity_estimates],
+    )
     if len(fields) < 2:
         raise InsufficientData("differential signal needs >= 2 distinct fields")
     grid = np.linspace(fields.min(), fields.max(), n_grid)

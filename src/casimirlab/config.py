@@ -1,12 +1,14 @@
 """Campaign configuration: INI-style file format, defaults and round-tripping.
 
 The config file has one section per parameter record ([film], [cavity],
-[noise], [campaign] and an optional [thermal]); every default quoted in the
-documentation lives here or in the generated example config, never inside
-the physics operations.
+[noise], [campaign] and an optional [thermal]). The records' dataclass
+fields are the only schema: parsing, the manifest snapshot and the example
+config all derive from them, so a new defaulted parameter needs no edit
+here. Each default lives in one place: the record's dataclass default,
+`default_film` or a DEFAULT_* constant below.
 
-The default film parameters are calibrated, not measured: thickness and gap
-come from the AFM values (14 nm and 6 nm); Tc0 = 1.5 K, H0 = 10 mT and
+The default film parameters are calibrated, not measured: thickness and
+gap come from the AFM values (14 nm and 6 nm); Tc0 = 1.5 K, H0 = 10 mT and
 lambda0 = 280 nm are chosen so that the forward model gives an 80 uK shift
 at mu0*H = 7.2 mT. The default fast-noise sigma is calibrated by Monte
 Carlo so that repeated drift-corrected triplet estimates scatter by about
@@ -16,6 +18,9 @@ Carlo so that repeated drift-corrected triplet estimates scatter by about
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import operator
+import typing
 from pathlib import Path
 
 from .errors import ConfigError
@@ -28,29 +33,38 @@ DEFAULT_SEED = 20260828
 
 DEFAULT_FIELDS_MT = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.2, 8.0, 9.0, 10.0)
 
+# section -> parameter record, in snapshot order. A record field named after
+# a section holds that section's record; it is not a key of its own.
+SECTIONS = {"film": FilmParams, "cavity": CavityParams, "noise": NoiseModel,
+            "campaign": CampaignConfig, "thermal": ThermalEnvironment}
+OPTIONAL_SECTIONS = {"thermal"}
+
+# A key is required when its field has no default, and also for these
+# fields: every config file states the cavity's gap and shift curve and the
+# noise budget, rather than inheriting them.
+STATED_KEYS = {
+    "gap_nm", "shift_max_uK", "h_rise_mT", "h_merge_mT",
+    "sigma_fast_uK", "drift_uK_per_hr", "seed",
+}
+
+# provenance of the example values, printed beside them
+EXAMPLE_NOTES = {
+    **dict.fromkeys(("thickness_nm", "gap_nm"), "AFM value"),
+    **dict.fromkeys(("lambda0_nm", "h0_mT", "tc0_K"), "calibrated, not measured"),
+    "sigma_fast_uK": "calibrated for ~6 uK per-triplet scatter",
+}
+
 
 def default_film() -> FilmParams:
-    return FilmParams(
-        thickness_nm=14.0,
-        lambda0_nm=280.0,
-        h0_mT=10.0,
-        tc0_K=1.5,
-        rn_ohm=300.0,
-        width_mK=1.0,
-        theta_rad=0.0,
-    )
+    return FilmParams(thickness_nm=14.0, lambda0_nm=280.0, h0_mT=10.0, tc0_K=1.5,
+                      rn_ohm=300.0, width_mK=1.0)
 
 
 def default_config(**overrides) -> CampaignConfig:
     film = overrides.pop("film", default_film())
     cavity = overrides.pop("cavity", CavityParams(film=film))
     noise = overrides.pop(
-        "noise",
-        NoiseModel(
-            sigma_fast_uK=DEFAULT_SIGMA_FAST_UK,
-            drift_uK_per_hr=DEFAULT_DRIFT_UK_PER_HR,
-            seed=DEFAULT_SEED,
-        ),
+        "noise", NoiseModel(DEFAULT_SIGMA_FAST_UK, DEFAULT_DRIFT_UK_PER_HR, DEFAULT_SEED)
     )
     fields = overrides.pop("fields_mT", DEFAULT_FIELDS_MT)
     return CampaignConfig(
@@ -58,189 +72,126 @@ def default_config(**overrides) -> CampaignConfig:
     )
 
 
-def _parse_fields(text: str):
-    try:
-        values = tuple(float(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse field list {text!r}") from exc
+def _parse_fields(value) -> tuple:
+    """A field list from INI text ("0.5, 1 2") or from a JSON list."""
+    if isinstance(value, str):
+        value = value.replace(",", " ").split()
+    values = tuple(float(v) for v in value)
     if not values:
-        raise ConfigError("field list is empty")
+        raise ValueError("field list is empty")
     return values
 
 
-def _get(cp, section, key, conv, default=None):
-    if not cp.has_option(section, key):
-        if default is not None:
-            return default
-        raise ConfigError(f"missing option {key!r} in section [{section}]")
-    raw = cp.get(section, key)
+# annotation -> converter of INI text or a JSON value (JSON 1.5 is no int)
+_CONVERT = {float: float, str: str, tuple: _parse_fields,
+            int: lambda v: int(v) if isinstance(v, str) else operator.index(v)}
+
+
+def _keys(record) -> list:
+    return [f for f in dataclasses.fields(record) if f.name not in SECTIONS]
+
+
+def _record_kwargs(section: str, values, source) -> dict:
+    """Checked, converted keyword arguments of one section's record.
+
+    Keys match case-insensitively, since configparser lower-cases them.
+    """
+    if not isinstance(values, dict):
+        raise ConfigError(f"section [{section}] of {source} is not a table")
+    record = SECTIONS[section]
+    types = typing.get_type_hints(record)
+    given = {key.lower(): value for key, value in values.items()}
+    keys = {f.name.lower(): f for f in _keys(record)}
+    unknown = sorted(set(given) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(unknown)} in section [{section}] of {source}")
+    kwargs = {}
+    for key, f in keys.items():
+        if key not in given:
+            if f.name in STATED_KEYS or f.default is dataclasses.MISSING:
+                raise ConfigError(f"missing option {f.name!r} in section [{section}] of {source}")
+            continue
+        try:
+            kwargs[f.name] = _CONVERT[types[f.name]](given[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad value {given[key]!r} for [{section}] {f.name}: {exc}") from exc
+    return kwargs
+
+
+def _build(sections, source) -> CampaignConfig:
+    """A campaign config from {section: {key: value}}, INI text or JSON values."""
+    if not isinstance(sections, dict):
+        raise ConfigError(f"{source} is not a table of sections")
+    unknown = sorted(set(sections) - set(SECTIONS))
+    if unknown:
+        listed = ", ".join(f"[{s}]" for s in unknown)
+        raise ConfigError(f"unknown section(s) {listed} in {source}")
+    kwargs = {}
+    for section in SECTIONS:
+        if section in sections:
+            kwargs[section] = _record_kwargs(section, sections[section], source)
+        elif section not in OPTIONAL_SECTIONS:
+            raise ConfigError(f"missing section [{section}] in {source}")
     try:
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value {raw!r} for [{section}] {key}") from exc
+        film = FilmParams(**kwargs["film"])
+        thermal = ThermalEnvironment(**kwargs["thermal"]) if "thermal" in kwargs else None
+        return CampaignConfig(
+            film=film, cavity=CavityParams(film=film, **kwargs["cavity"]),
+            noise=NoiseModel(**kwargs["noise"]), thermal=thermal, **kwargs["campaign"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid configuration in {source}: {exc}") from exc
 
 
 def load_config(path) -> CampaignConfig:
-    """Parse a campaign config file, validating every section."""
+    """Parse a campaign config file; unknown sections and keys are errors."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read(path)
-    except configparser.Error as exc:
+        sections = {section: dict(cp[section]) for section in cp.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    for section in ("film", "cavity", "noise", "campaign"):
-        if not cp.has_section(section):
-            raise ConfigError(f"missing section [{section}] in {path}")
+    return _build(sections, path)
 
-    try:
-        film = FilmParams(
-            thickness_nm=_get(cp, "film", "thickness_nm", float),
-            lambda0_nm=_get(cp, "film", "lambda0_nm", float),
-            h0_mT=_get(cp, "film", "h0_mT", float),
-            tc0_K=_get(cp, "film", "tc0_K", float),
-            rn_ohm=_get(cp, "film", "rn_ohm", float),
-            width_mK=_get(cp, "film", "width_mK", float),
-            theta_rad=_get(cp, "film", "theta_rad", float, 0.0),
-        )
-        cavity = CavityParams(
-            film=film,
-            gap_nm=_get(cp, "cavity", "gap_nm", float),
-            gap_crossover_nm=_get(cp, "cavity", "gap_crossover_nm", float, 10.0),
-            gap_exponent=_get(cp, "cavity", "gap_exponent", float, 1.15),
-            shift_max_uK=_get(cp, "cavity", "shift_max_uK", float),
-            h_rise_mT=_get(cp, "cavity", "h_rise_mT", float),
-            h_merge_mT=_get(cp, "cavity", "h_merge_mT", float),
-        )
-        noise = NoiseModel(
-            sigma_fast_uK=_get(cp, "noise", "sigma_fast_uK", float),
-            drift_uK_per_hr=_get(cp, "noise", "drift_uK_per_hr", float),
-            seed=_get(cp, "noise", "seed", int),
-            sigma_r_ohm=_get(cp, "noise", "sigma_r_ohm", float, 0.0),
-        )
-        thermal = None
-        if cp.has_section("thermal"):
-            thermal = ThermalEnvironment(
-                t_env_K=_get(cp, "thermal", "t_env_K", float, 300.0),
-                x_eff=_get(cp, "thermal", "x_eff", float, 10.0),
-            )
-        return CampaignConfig(
-            film=film,
-            cavity=cavity,
-            noise=noise,
-            fields_mT=_parse_fields(_get(cp, "campaign", "fields_mT", str)),
-            sweep_duration_s=_get(cp, "campaign", "sweep_duration_s", float, 1200.0),
-            points_per_sweep=_get(cp, "campaign", "points_per_sweep", int, 1200),
-            replications=_get(cp, "campaign", "replications", int, 1),
-            thermal=thermal,
-            homogeneity=_get(cp, "campaign", "homogeneity", float, 1e-4),
-            settle_s=_get(cp, "campaign", "settle_s", float, 0.0),
-            film_sample_id=_get(cp, "campaign", "film_sample_id", str, "film01"),
-            cavity_sample_id=_get(cp, "campaign", "cavity_sample_id", str, "cav01"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid configuration in {path}: {exc}") from exc
+
+def _values(params) -> dict:
+    """{key: value} of one record, tuples as lists."""
+    values = {f.name: getattr(params, f.name) for f in _keys(type(params))}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 def config_to_dict(config: CampaignConfig) -> dict:
     """Serializable snapshot of a campaign config (manifest payload)."""
-    d = {
-        "film": {
-            "thickness_nm": config.film.thickness_nm,
-            "lambda0_nm": config.film.lambda0_nm,
-            "h0_mT": config.film.h0_mT,
-            "tc0_K": config.film.tc0_K,
-            "rn_ohm": config.film.rn_ohm,
-            "width_mK": config.film.width_mK,
-            "theta_rad": config.film.theta_rad,
-        },
-        "cavity": {
-            "gap_nm": config.cavity.gap_nm,
-            "gap_crossover_nm": config.cavity.gap_crossover_nm,
-            "gap_exponent": config.cavity.gap_exponent,
-            "shift_max_uK": config.cavity.shift_max_uK,
-            "h_rise_mT": config.cavity.h_rise_mT,
-            "h_merge_mT": config.cavity.h_merge_mT,
-        },
-        "noise": {
-            "sigma_fast_uK": config.noise.sigma_fast_uK,
-            "drift_uK_per_hr": config.noise.drift_uK_per_hr,
-            "seed": config.noise.seed,
-            "sigma_r_ohm": config.noise.sigma_r_ohm,
-        },
-        "campaign": {
-            "fields_mT": list(config.fields_mT),
-            "sweep_duration_s": config.sweep_duration_s,
-            "points_per_sweep": config.points_per_sweep,
-            "replications": config.replications,
-            "homogeneity": config.homogeneity,
-            "settle_s": config.settle_s,
-            "film_sample_id": config.film_sample_id,
-            "cavity_sample_id": config.cavity_sample_id,
-        },
-    }
-    if config.thermal is not None:
-        d["thermal"] = {"t_env_K": config.thermal.t_env_K, "x_eff": config.thermal.x_eff}
-    return d
+    snapshot = {}
+    for section in SECTIONS:
+        params = config if section == "campaign" else getattr(config, section)
+        if params is not None:
+            snapshot[section] = _values(params)
+    return snapshot
 
 
 def config_from_dict(d: dict) -> CampaignConfig:
     """Rebuild a campaign config from a manifest snapshot."""
-    try:
-        film = FilmParams(**d["film"])
-        cavity = CavityParams(film=film, **d["cavity"])
-        noise = NoiseModel(**d["noise"])
-        thermal = ThermalEnvironment(**d["thermal"]) if "thermal" in d else None
-        camp = dict(d["campaign"])
-        camp["fields_mT"] = tuple(camp["fields_mT"])
-        return CampaignConfig(film=film, cavity=cavity, noise=noise, thermal=thermal, **camp)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config snapshot: {exc}") from exc
+    return _build(d, "config snapshot")
 
 
-EXAMPLE_CONFIG = f"""\
-# casimirlab campaign configuration
-# Units: nm, mT, K, mK, uK, Ohm, s, rad.
+def _render_example(config: CampaignConfig) -> str:
+    lines = ["# casimirlab campaign configuration", "# Units: nm, mT, K, mK, uK, Ohm, s, rad."]
+    for section, values in config_to_dict(config).items():
+        lines += ["", f"[{section}]"]
+        for key, value in values.items():
+            text = " ".join(map(str, value)) if isinstance(value, list) else value
+            line = f"{key} = {text}"
+            lines.append(f"{line:<26} # {EXAMPLE_NOTES[key]}" if key in EXAMPLE_NOTES else line)
+    lines += ["", "# Uncomment to enable the room-temperature thermal-photon scenario:",
+              "# [thermal]"]
+    lines += [f"# {key} = {value}" for key, value in _values(ThermalEnvironment()).items()]
+    return "\n".join(lines) + "\n"
 
-[film]
-thickness_nm = 14          # AFM value
-lambda0_nm = 280           # calibrated, not measured
-h0_mT = 10                 # calibrated, not measured
-tc0_K = 1.5                # calibrated, not measured
-rn_ohm = 300
-width_mK = 1.0
-theta_rad = 0.0
 
-[cavity]
-gap_nm = 6                 # AFM value
-gap_crossover_nm = 10
-gap_exponent = 1.15
-shift_max_uK = 7.0
-h_rise_mT = 1.0
-h_merge_mT = 20.0
-
-[noise]
-sigma_fast_uK = {DEFAULT_SIGMA_FAST_UK}       # calibrated for ~6 uK per-triplet scatter
-drift_uK_per_hr = {DEFAULT_DRIFT_UK_PER_HR}
-seed = {DEFAULT_SEED}
-sigma_r_ohm = 0
-
-[campaign]
-fields_mT = {" ".join(str(f) for f in DEFAULT_FIELDS_MT)}
-sweep_duration_s = 1200
-points_per_sweep = 1200
-replications = 3
-homogeneity = 1e-4
-settle_s = 0
-film_sample_id = film01
-cavity_sample_id = cav01
-
-# Uncomment to enable the room-temperature thermal-photon scenario:
-# [thermal]
-# t_env_K = 300
-# x_eff = 10
-"""
+EXAMPLE_CONFIG = _render_example(default_config(replications=3))
 
 
 def write_example_config(path) -> Path:

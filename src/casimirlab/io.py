@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .config import config_from_dict, config_to_dict
-from .errors import DataError, IncompleteTriplet
+from .errors import ConfigError, DataError, IncompleteTriplet
 from .simulate import CampaignConfig, SweepTrace, TripletRecord
 
 MANIFEST_NAME = "manifest.json"
@@ -118,7 +118,41 @@ def write_csv(path, columns, rows) -> None:
     Path(path).write_text("\n".join(out) + "\n")
 
 
-def write_dataset(out_dir, config: CampaignConfig, triplets, quiet: bool = False) -> Path:
+def read_csv(path, columns, text_columns=()) -> dict:
+    """Read a table written by `write_csv` as {column: array}.
+
+    Columns in text_columns stay strings, the rest parse as floats. A wrong
+    header, a ragged row, a non-numeric or non-finite cell or a table
+    without rows is a DataError naming the file.
+    """
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
+    if not lines or lines[0] != ",".join(columns):
+        raise DataError(f"{path}: missing or wrong header, expected {','.join(columns)}")
+    rows = [line.split(",") for line in lines[1:]]
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    for n, row in enumerate(rows, 2):
+        if len(row) != len(columns):
+            raise DataError(f"{path}: line {n}: {len(row)} cells, expected {len(columns)}")
+    table = {}
+    for name, cells in zip(columns, zip(*rows)):
+        if name in text_columns:
+            table[name] = np.array(cells)
+            continue
+        try:
+            table[name] = np.array(cells, dtype=float)
+        except ValueError as exc:
+            raise DataError(f"{path}: column {name}: {exc}") from exc
+        finite = np.isfinite(table[name])
+        if not finite.all():
+            raise DataError(f"{path}: line {2 + int(np.argmin(finite))}: non-finite {name}")
+    return table
+
+
+def write_dataset(out_dir, config: CampaignConfig, triplets) -> Path:
     """Write one CSV per sweep plus the run manifest; returns the manifest path."""
     out_dir = Path(out_dir)
     sweep_dir = out_dir / SWEEP_DIR
@@ -241,9 +275,13 @@ def load_dataset(run_dir):
     field, replication) combinations if any trio is missing members.
     """
     manifest = read_manifest(run_dir)
+    manifest_path = Path(run_dir) / MANIFEST_NAME
     if "config" not in manifest:
-        raise DataError(f"{Path(run_dir) / MANIFEST_NAME}: no 'config' snapshot")
-    config = config_from_dict(manifest["config"])
+        raise DataError(f"{manifest_path}: no 'config' snapshot")
+    try:
+        config = config_from_dict(manifest["config"])
+    except ConfigError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from exc
     triplets = [read_triplet(run_dir, group) for group in sweep_groups(run_dir, manifest)]
     return config, triplets
 

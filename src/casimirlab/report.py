@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .io import fmt, read_manifest, read_triplet, sweep_groups, write_csv
+from .analysis import field_means
+from .io import fmt, read_csv, read_manifest, read_triplet, sweep_groups, write_csv
 from .pipeline import AnalysisResult
 
 ANALYSIS_DIR = "analysis"
@@ -110,14 +111,6 @@ def write_analysis(run_dir, result: AnalysisResult, out_dir=None) -> Path:
     return out
 
 
-def _read_csv(path):
-    rows = Path(path).read_text().splitlines()
-    if not rows:
-        raise DataError(f"{path} is empty")
-    header = rows[0].split(",")
-    return header, [dict(zip(header, row.split(","))) for row in rows[1:]]
-
-
 def write_report(run_dir, out_dir=None, n_curve: int = 101) -> Path:
     """Build the plot-ready CSVs from a run's analysis outputs."""
     run_dir = Path(run_dir)
@@ -128,29 +121,25 @@ def write_report(run_dir, out_dir=None, n_curve: int = 101) -> Path:
     out = Path(out_dir) if out_dir is not None else run_dir / REPORT_DIR
     out.mkdir(parents=True, exist_ok=True)
 
-    _, shifts = _read_csv(analysis / "shifts.csv")
-    _, fits = _read_csv(analysis / "fits.csv")
-    fit = fits[0]
-    a, b = float(fit["a_per_mT2"]), float(fit["b_per_mT"])
+    shifts = read_csv(analysis / "shifts.csv", SHIFTS_COLUMNS, ("sample_id", "kind"))
+    fits = read_csv(analysis / "fits.csv", FITS_COLUMNS, ("sample_id",))
+    a, b = fits["a_per_mT2"][0], fits["b_per_mT"][0]
 
     # Fig 6 style: film delta_t vs H data points plus fitted parabola samples
-    film_rows = [r for r in shifts if r["kind"] == "film"]
-    rows = [
-        ("data", float(r["field_mT"]), float(r["delta_t"]),
-         float(r["sigma_delta_t"]), float(r["shift_uK"]), float(r["sigma_uK"]))
-        for r in film_rows
-    ]
-    h_data = [float(r["field_mT"]) for r in film_rows]
+    film = shifts["kind"] == "film"
+    if not film.any():
+        raise DataError(f"{analysis / 'shifts.csv'}: no film rows")
+    columns = ("field_mT", "delta_t", "sigma_delta_t", "shift_uK", "sigma_uK")
+    data = [shifts[c][film] for c in columns]
+    rows = [("data", *values) for values in zip(*data)]
+    h_data, dt_data, shift_data = data[0], data[1], data[3]
     # film Tc0 from any row with a nonzero shift; when every shift is zero,
     # so is the fitted parabola and Tc0 does not enter
-    tc0_K = next(
-        (float(r["shift_uK"]) / float(r["delta_t"]) / 1e6
-         for r in film_rows if float(r["delta_t"]) != 0),
-        0.0,
-    )
-    for h in np.linspace(min(h_data), max(h_data), n_curve):
+    nonzero = np.flatnonzero(dt_data != 0)
+    tc0_K = shift_data[nonzero[0]] / dt_data[nonzero[0]] / 1e6 if nonzero.size else 0.0
+    for h in np.linspace(h_data.min(), h_data.max(), n_curve):
         dt = a * h * h + b * h
-        rows.append(("fit", float(h), float(dt), 0.0, dt * tc0_K * 1e6, 0.0))
+        rows.append(("fit", h, dt, 0.0, dt * tc0_K * 1e6, 0.0))
     write_csv(
         out / "fig_parabola.csv",
         ("series", "field_mT", "delta_t", "sigma_delta_t", "shift_uK", "sigma_uK"),
@@ -184,20 +173,14 @@ def write_report(run_dir, out_dir=None, n_curve: int = 101) -> Path:
     )
 
     # Fig 4 style: per-kind recovered shift curves, thermal campaigns only
-    if "thermal" in manifest.get("config", {}):
+    config = manifest.get("config")
+    if isinstance(config, dict) and "thermal" in config:
         rows = []
         for kind in ("film", "cavity"):
-            per_field = {}
-            for r in shifts:
-                if r["kind"] != kind:
-                    continue
-                per_field.setdefault(float(r["field_mT"]), []).append(
-                    (float(r["shift_uK"]), float(r["sigma_uK"]))
-                )
-            for h in sorted(per_field):
-                vals = np.array(per_field[h])
-                mean = float(np.mean(vals[:, 0]))
-                sigma = float(np.sqrt(np.sum(vals[:, 1] ** 2)) / len(vals))
-                rows.append((kind, h, mean, sigma))
+            sel = shifts["kind"] == kind
+            fields, means, variances = field_means(
+                shifts["field_mT"][sel], shifts["shift_uK"][sel], shifts["sigma_uK"][sel]
+            )
+            rows += [(kind, *row) for row in zip(fields, means, np.sqrt(variances))]
         write_csv(out / "fig_thermal.csv", ("kind", "field_mT", "shift_uK", "sigma_uK"), rows)
     return out

@@ -1,22 +1,40 @@
 """CLI and file-format tests: config parsing, manifest, determinism, exit codes."""
 
+import dataclasses
 import json
+import re
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from casimirlab import config as config_module
 from casimirlab.cli import main
-from casimirlab.config import config_from_dict, config_to_dict, default_config, load_config, write_example_config
+from casimirlab.config import (
+    EXAMPLE_CONFIG,
+    SECTIONS,
+    config_from_dict,
+    config_to_dict,
+    default_config,
+    load_config,
+    write_example_config,
+)
 from casimirlab.errors import ConfigError, IncompleteTriplet
 from casimirlab.io import (
     SWEEP_COLUMNS,
     load_dataset,
     normalized_manifest_bytes,
+    read_csv,
     read_manifest,
     read_sweep_csv,
     write_sweep_csv,
 )
+from casimirlab.report import SHIFTS_COLUMNS
 from casimirlab.simulate import SweepTrace
 
 SMALL_CONFIG = """
@@ -45,6 +63,16 @@ replications = 1
 points_per_sweep = 120
 sweep_duration_s = 120
 """
+
+
+THERMAL_EXAMPLE = re.sub(r"(?m)^# (\[thermal\]|t_env_K|x_eff)", r"\1", EXAMPLE_CONFIG)
+
+# the keys a config file must set
+REQUIRED_KEYS = {
+    "thickness_nm", "lambda0_nm", "h0_mT", "tc0_K", "rn_ohm", "width_mK",
+    "gap_nm", "shift_max_uK", "h_rise_mT", "h_merge_mT",
+    "sigma_fast_uK", "drift_uK_per_hr", "seed", "fields_mT",
+}
 
 
 @pytest.fixture
@@ -111,6 +139,76 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
+
+    def test_not_text_is_config_error(self, tmp_path):
+        path = tmp_path / "bin.ini"
+        path.write_bytes(b"\xff\xfe[film]\n")
+        with pytest.raises(ConfigError, match="cannot parse"):
+            load_config(path)
+
+    def test_example_config_is_default_config(self, tmp_path):
+        path = write_example_config(tmp_path / "e.ini")
+        assert load_config(path) == default_config(replications=3)
+
+    @pytest.mark.parametrize("typo, bad", [
+        (("gap_exponent = ", "gap_exponet = "), "gap_exponet"),
+        (("[campaign]", "[campaign]\nrepetitions = 3"), "repetitions"),
+        (("# [thermal]\n# t_env_K = ", "[thermel]\nt_env_K = "), "[thermel]"),
+    ])
+    def test_unknown_section_or_key_exits_2_naming_it(self, runner, tmp_path, typo, bad):
+        path = tmp_path / "typo.ini"
+        assert typo[0] in EXAMPLE_CONFIG
+        path.write_text(EXAMPLE_CONFIG.replace(*typo))
+        with pytest.raises(ConfigError, match=re.escape(bad)):
+            load_config(path)
+        result = runner.invoke(
+            main, ["simulate", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert result.exit_code == 2
+        assert bad in result.stderr
+
+    def test_keys_match_case_insensitively(self, tmp_path):
+        path = tmp_path / "case.ini"
+        path.write_text(EXAMPLE_CONFIG.replace("h0_mT = ", "H0_MT = "))
+        assert load_config(path) == default_config(replications=3)
+
+    @pytest.mark.parametrize("section, key", [
+        (section, f.name)
+        for section, record in SECTIONS.items()
+        for f in dataclasses.fields(record)
+        if f.name not in SECTIONS
+    ])
+    def test_each_key_required_or_defaulted(self, tmp_path, section, key):
+        text = THERMAL_EXAMPLE if section == "thermal" else EXAMPLE_CONFIG
+        path = tmp_path / "drop.ini"
+        path.write_text(re.sub(rf"(?m)^{key} = .*\n", "", text, count=1))
+        assert path.read_text() != text
+        if key in REQUIRED_KEYS:
+            missing = rf"missing option '{key}' in section \[{section}\]"
+            with pytest.raises(ConfigError, match=missing):
+                load_config(path)
+            return
+        cfg = load_config(path)
+        params = cfg if section == "campaign" else getattr(cfg, section)
+        default = next(f.default for f in dataclasses.fields(params) if f.name == key)
+        assert getattr(params, key) == default
+
+    def test_new_defaulted_field_needs_no_config_code(self, tmp_path, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class NoiseWithGain(config_module.NoiseModel):
+            gain_drift_ppm: float = 2.5
+
+        # stands in for a field added to NoiseModel itself
+        monkeypatch.setitem(SECTIONS, "noise", NoiseWithGain)
+        monkeypatch.setattr(config_module, "NoiseModel", NoiseWithGain)
+        path = tmp_path / "gain.ini"
+        path.write_text(EXAMPLE_CONFIG)
+        assert load_config(path).noise.gain_drift_ppm == 2.5
+        path.write_text(EXAMPLE_CONFIG.replace("[noise]", "[noise]\ngain_drift_ppm = 4"))
+        cfg = load_config(path)
+        assert cfg.noise.gain_drift_ppm == 4.0
+        snapshot = config_to_dict(cfg)
+        assert snapshot["noise"]["gain_drift_ppm"] == 4.0
+        assert config_from_dict(json.loads(json.dumps(snapshot))) == cfg
 
 
 class TestSimulateCommand:
@@ -265,6 +363,13 @@ def _swap_pre_post_times(manifest):
     return manifest
 
 
+def _set_config(edit):
+    def edit_manifest(manifest):
+        edit(manifest["config"])
+        return manifest
+    return edit_manifest
+
+
 # each mutation damages one sweep file or the manifest and returns the name of
 # the file the error must name
 MUTATIONS = {
@@ -288,6 +393,15 @@ MUTATIONS = {
     "no files list": _manifest_edit(lambda m: {**m, "files": None}),
     "file entry not an object": _manifest_edit(lambda m: {**m, "files": m["files"] + [7]}),
     "no config snapshot": _manifest_edit(lambda m: {k: v for k, v in m.items() if k != "config"}),
+    "snapshot lacks film section": _manifest_edit(_set_config(lambda c: c.pop("film"))),
+    "snapshot not an object": _manifest_edit(lambda m: {**m, "config": "film"}),
+    "snapshot film not an object": _manifest_edit(_set_config(lambda c: c.update(film="film"))),
+    "snapshot fields_mT an int": _manifest_edit(
+        _set_config(lambda c: c["campaign"].update(fields_mT=7))),
+    "snapshot seed not an integer": _manifest_edit(
+        _set_config(lambda c: c["noise"].update(seed=1.5))),
+    "snapshot unknown key": _manifest_edit(
+        _set_config(lambda c: c["cavity"].update(gap_exponet=2.0))),
 }
 
 
@@ -312,6 +426,120 @@ class TestMalformedInput:
         result = runner.invoke(main, ["analyze", str(run_dir)])
         assert result.exit_code == 3
         assert f"{victim}: line 30: non-finite" in result.stderr
+
+
+# cell values for random damage to CSV files and the config snapshot
+CELLS = st.sampled_from(["abc", "nan", "-inf", "1e999", "", " ", "1,2", "0x1p3", "-0"])
+JSON_VALUES = st.sampled_from([None, "x", "", -1, 0, 1e300, -1e300, True, [], {}, [1, "a"]])
+INDEX = st.integers(0, 10**6)  # taken modulo the number of candidates
+
+# mutation kind -> strategy for its arguments
+RANDOM_MUTATIONS = {
+    "delete sweep": st.tuples(INDEX),
+    "truncate sweep": st.tuples(INDEX, st.integers(0, 130)),
+    "inject cell": st.tuples(INDEX, st.integers(1, 130), st.integers(0, 3), CELLS),
+    "swap lines": st.tuples(INDEX, st.integers(0, 130), st.integers(0, 130)),
+    "drop manifest key": st.tuples(INDEX, st.integers(-1, 10**6)),
+    "corrupt snapshot": st.tuples(
+        INDEX, INDEX,
+        st.sampled_from(["drop section", "drop key", "set key", "set section", "add key"]),
+        JSON_VALUES),
+    "corrupt analysis csv": st.tuples(
+        st.sampled_from(["shifts.csv", "fits.csv"]), st.integers(0, 40), st.integers(0, 10),
+        CELLS | st.just(None)),
+}
+
+
+def _pick(items, index):
+    return items[index % len(items)]
+
+
+def _inject_cell(path, line, column, cell):
+    lines = path.read_text().splitlines()
+    cells = lines[line % len(lines)].split(",")
+    cells[column % len(cells)] = cell
+    lines[line % len(lines)] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _apply_random_mutation(run_dir, kind, args):
+    sweeps = sorted((run_dir / "sweeps").glob("*.csv"))
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if kind == "delete sweep":
+        _pick(sweeps, args[0]).unlink()
+    elif kind == "truncate sweep":
+        path = _pick(sweeps, args[0])
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:args[1]]))
+    elif kind == "inject cell":
+        _inject_cell(_pick(sweeps, args[0]), *args[1:])
+    elif kind == "swap lines":
+        path, i, j = _pick(sweeps, args[0]), *args[1:]
+        lines = path.read_text().splitlines()
+        i, j = i % len(lines), j % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+        path.write_text("\n".join(lines) + "\n")
+    elif kind == "drop manifest key":
+        target = manifest if args[1] < 0 else _pick(manifest["files"], args[1])
+        del target[_pick(sorted(target), args[0])]
+    elif kind == "corrupt snapshot":
+        section_index, key_index, action, value = args
+        config = manifest["config"]
+        section = _pick(sorted(config), section_index)
+        key = _pick(sorted(config[section]), key_index)
+        if action == "drop section":
+            del config[section]
+        elif action == "drop key":
+            del config[section][key]
+        elif action == "set key":
+            config[section][key] = value
+        elif action == "set section":
+            config[section] = value
+        else:
+            config[section]["not_a_key"] = value
+    else:
+        name, line, column, cell = args
+        path = run_dir / "analysis" / name
+        if cell is None:
+            lines = path.read_text().splitlines()
+            del lines[line % len(lines)]
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            _inject_cell(path, line, column, cell)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+class TestRandomMutations:
+    """Random damage to a run directory ends in a documented exit code."""
+
+    @pytest.fixture(scope="class")
+    def analyzed_run(self, tmp_path_factory):
+        runner = CliRunner()
+        out = simulate_run(
+            runner, tmp_path_factory.mktemp("base"),
+            SMALL_CONFIG.replace("fields_mT = 7.2", "fields_mT = 2 5 7.2 9 10"),
+        )
+        run_ok(runner, ["analyze", str(out)])
+        return out
+
+    @pytest.mark.parametrize("kind", list(RANDOM_MUTATIONS))
+    @given(data=st.data())
+    @settings(max_examples=15, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_never_a_traceback(self, analyzed_run, kind, data):
+        args = data.draw(RANDOM_MUTATIONS[kind])
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as tmp:
+            run_dir = Path(tmp) / "run"
+            shutil.copytree(analyzed_run, run_dir)
+            _apply_random_mutation(run_dir, kind, args)
+            for command in ("report", "analyze"):
+                result = runner.invoke(main, [command, str(run_dir), "--quiet"])
+                assert result.exit_code in (0, 2, 3, 4), (command, args, result.output)
+                assert result.exception is None or isinstance(result.exception, SystemExit), (
+                    command, args, result.exc_info)
+            if result.exit_code == 0:  # analyze wrote finite shifts
+                read_csv(run_dir / "analysis" / "shifts.csv", SHIFTS_COLUMNS, ("sample_id", "kind"))
 
 
 class TestLibraryMatchesCli:
@@ -489,6 +717,26 @@ class TestReportCommand:
         result = runner.invoke(main, ["analyze", str(plus_minus_run)])
         assert result.exit_code == 3
         assert victim.name in result.stderr
+
+    @pytest.mark.parametrize("name, edit", [
+        ("shifts.csv", lambda text: re.sub(r"(?m)^(film01,film,(?:[^,]*,){4})[^,]*", r"\1abc",
+                                           text, count=1)),
+        ("fits.csv", lambda text: text.splitlines()[0] + "\n"),
+        ("shifts.csv", lambda text: "\n".join(
+            ",".join(c for i, c in enumerate(line.split(",")) if i != 4)
+            for line in text.splitlines()) + "\n"),
+        ("shifts.csv", lambda text: "\n".join(
+            line for line in text.splitlines() if ",film," not in line) + "\n"),
+    ], ids=["non-numeric shift_uK", "fits header only", "no delta_t column", "no film rows"])
+    def test_malformed_analysis_csv_exits_3_naming_file(self, runner, analyzed_run, name, edit):
+        path = analyzed_run / "analysis" / name
+        text = path.read_text()
+        path.write_text(edit(text))
+        assert path.read_text() != text
+        result = runner.invoke(main, ["report", str(analyzed_run)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert name in result.stderr
 
     def test_report_requires_analysis(self, runner, tmp_path, small_config):
         out = tmp_path / "run"
