@@ -155,11 +155,7 @@ def _quadratic_fit(x, y):
     )
 
 
-def extract_tc0(
-    trace: SweepTrace,
-    rn_ohm: float | None = None,
-    window_frac: float = 0.05,
-) -> float:
+def extract_tc0(trace: SweepTrace, rn_ohm: float, window_frac: float = 0.05) -> float:
     """Transition temperature: the T maximizing dR/dT.
 
     The derivative is estimated by local quadratic regression over a sliding
@@ -169,7 +165,7 @@ def extract_tc0(
     """
     r = np.asarray(trace.r_meas_ohm, dtype=float)
     t = np.asarray(trace.t_meas_K, dtype=float)
-    rn = float(np.max(r)) if rn_ohm is None else float(rn_ohm)
+    rn = float(rn_ohm)
     if np.min(r) > 0.1 * rn or np.max(r) < 0.9 * rn:
         raise IncompleteTransition(
             f"sweep {trace.sample_id} at {trace.field_mT} mT does not span the transition"
@@ -241,18 +237,16 @@ def _monotone_knots(trace: SweepTrace, rn_ohm: float):
     return knot_r, knot_t
 
 
-def invert_trace(trace: SweepTrace, r_levels, rn_ohm: float | None = None):
+def invert_trace(trace: SweepTrace, r_levels, rn_ohm: float):
     """T(R) at the given resistance levels, by monotone inversion.
 
     Returns (levels, temperatures) arrays. Levels must lie inside the
     (0.2, 0.8)*RN averaging window.
     """
-    r = np.asarray(trace.r_meas_ohm, dtype=float)
-    rn = float(np.max(r)) if rn_ohm is None else float(rn_ohm)
     levels = np.asarray(r_levels, dtype=float)
-    if np.any(levels <= WINDOW_LO * rn) or np.any(levels >= WINDOW_HI * rn):
+    if np.any(levels <= WINDOW_LO * rn_ohm) or np.any(levels >= WINDOW_HI * rn_ohm):
         raise ValueError("resistance levels must lie inside the (0.2, 0.8)*RN window")
-    knot_r, knot_t = _monotone_knots(trace, rn)
+    knot_r, knot_t = _monotone_knots(trace, rn_ohm)
     return levels, np.interp(levels, knot_r, knot_t)
 
 
@@ -266,8 +260,8 @@ def estimate_shift(
     zero: SweepTrace,
     field: SweepTrace,
     tc0_K: float,
+    rn_ohm: float,
     n_levels: int = DEFAULT_N_LEVELS,
-    rn_ohm: float | None = None,
 ) -> ShiftEstimate:
     """Averaged-difference estimator: delta_t = mean_R [T(R,0) - T(R,H)] / Tc0.
 
@@ -276,8 +270,6 @@ def estimate_shift(
     scatter by sqrt(n_levels / LEVEL_CORRELATION_FACTOR) to account for the
     correlation between adjacent levels.
     """
-    if rn_ohm is None:
-        rn_ohm = float(max(np.max(zero.r_meas_ohm), np.max(field.r_meas_ohm)))
     levels = default_levels(rn_ohm, n_levels)
     _, t_zero = invert_trace(zero, levels, rn_ohm)
     _, t_field = invert_trace(field, levels, rn_ohm)
@@ -298,8 +290,8 @@ def estimate_shift(
 def drift_corrected_shift(
     triplet: TripletRecord,
     tc0_K: float,
+    rn_ohm: float,
     n_levels: int = DEFAULT_N_LEVELS,
-    rn_ohm: float | None = None,
 ) -> ShiftEstimate:
     """Mean of the pre-vs-mid and post-vs-mid estimates.
 
@@ -307,8 +299,8 @@ def drift_corrected_shift(
     one-sided biases are equal and opposite, so the mean is exactly
     drift-free; uncertainties combine in quadrature.
     """
-    before = estimate_shift(triplet.pre, triplet.mid, tc0_K, n_levels, rn_ohm)
-    after = estimate_shift(triplet.post, triplet.mid, tc0_K, n_levels, rn_ohm)
+    before = estimate_shift(triplet.pre, triplet.mid, tc0_K, rn_ohm, n_levels)
+    after = estimate_shift(triplet.post, triplet.mid, tc0_K, rn_ohm, n_levels)
     delta_t = 0.5 * (before.delta_t + after.delta_t)
     sigma = 0.5 * np.hypot(before.sigma_delta_t, after.sigma_delta_t)
     return ShiftEstimate(

@@ -58,7 +58,8 @@ def cmd_example_config(out):
               help="Campaign configuration file.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True,
               help="Output directory for the dataset.")
-@click.option("--seed", type=int, default=None, help="Override the master seed.")
+@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
+              help="Override the master seed.")
 @click.option("--quiet", is_flag=True, help="Suppress the campaign summary.")
 def cmd_simulate(config_path, out_dir, seed, quiet):
     """Generate a campaign dataset: one CSV per sweep plus a manifest."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import operator
 import typing
 from pathlib import Path
@@ -72,18 +73,26 @@ def default_config(**overrides) -> CampaignConfig:
     )
 
 
+def _finite(value) -> float:
+    """A float from INI text or a JSON number; NaN and infinities are errors."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("not a finite number")
+    return number
+
+
 def _parse_fields(value) -> tuple:
     """A field list from INI text ("0.5, 1 2") or from a JSON list."""
     if isinstance(value, str):
         value = value.replace(",", " ").split()
-    values = tuple(float(v) for v in value)
+    values = tuple(_finite(v) for v in value)
     if not values:
         raise ValueError("field list is empty")
     return values
 
 
 # annotation -> converter of INI text or a JSON value (JSON 1.5 is no int)
-_CONVERT = {float: float, str: str, tuple: _parse_fields,
+_CONVERT = {float: _finite, str: str, tuple: _parse_fields,
             int: lambda v: int(v) if isinstance(v, str) else operator.index(v)}
 
 

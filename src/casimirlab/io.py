@@ -1,15 +1,18 @@
 """On-disk formats: sweep CSVs, the run manifest and the analysis/report files.
 
-Every CSV carries a header row with a fixed column order; floating-point
-values are serialized with 17 significant digits so they round-trip
-exactly. All metadata needed to regroup sweeps into triplets lives in the
-manifest, not in filenames (the filenames merely encode it readably).
+Every CSV is written by `_write_table` and read by `_read_table`: a header
+row with a fixed column order, then one row per line, numbers with 17
+significant digits so that they round-trip exactly. All metadata needed to
+regroup sweeps into triplets lives in the manifest, not in filenames (the
+filenames merely encode it readably).
 """
 
 from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
+from io import StringIO
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +39,6 @@ SWEEP_ENTRY_TYPES = {
 }
 
 
-def fmt(x: float) -> str:
-    """17-significant-digit decimal form; round-trips float64 exactly."""
-    return format(float(x), ".17g")
-
-
 def sweep_filename(trace: SweepTrace, field_mT: float, replication: int, position: str) -> str:
     """<sample>_<kind>_<sign><field uT>uT_rep<NNN>_<pos>.csv
 
@@ -56,100 +54,67 @@ def sweep_filename(trace: SweepTrace, field_mT: float, replication: int, positio
     )
 
 
+def _write_table(path, columns, rows) -> None:
+    """Write the header row and the rows; one %-format renders the whole body.
+
+    rows is a 2-D float array or an iterable of row tuples. A column whose
+    first cell is a str is written as it is, every other cell with %.17g.
+    """
+    cells = rows.ravel().tolist() if isinstance(rows, np.ndarray) else [*chain.from_iterable(rows)]
+    first = cells[:len(columns)]
+    line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
+    body = (line * (len(cells) // len(columns))) % tuple(cells)
+    Path(path).write_text(",".join(columns) + "\n" + body)
+
+
+def _read_table(path, columns, text_columns=()) -> dict:
+    """Parse a table written by `_write_table` as {column: array}.
+
+    Columns in text_columns stay str, the rest must be finite floats; empty
+    lines are skipped. Any malformed content is a DataError naming the file.
+    """
+    try:
+        header, _, body = Path(path).read_text().partition("\n")
+        if header != ",".join(columns):
+            raise DataError(f"{path}: missing or wrong header, expected {','.join(columns)}")
+        if not body.strip():
+            raise DataError(f"{path}: no data rows")
+        dtype = [(name, object if name in text_columns else float) for name in columns]
+        data = np.loadtxt(StringIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    for name in columns:
+        finite = name in text_columns or np.isfinite(data[name])
+        if not np.all(finite):
+            # loadtxt skips empty lines, so map the data row back to its line
+            lines = [n for n, line in enumerate(body.split("\n"), 2) if line]
+            raise DataError(f"{path}: line {lines[np.argmin(finite)]}: non-finite {name}")
+    return {name: data[name] for name in columns}
+
+
 def write_sweep_csv(path, trace: SweepTrace) -> None:
-    """Write one sweep; the body is rendered by a single %-format in C."""
+    """Write one sweep as tau_s,T_meas_K,R_meas_ohm rows."""
     data = np.column_stack((trace.tau_s, trace.t_meas_K, trace.r_meas_ohm))
-    body = ("%.17g,%.17g,%.17g\n" * len(data)) % tuple(data.ravel().tolist())
-    Path(path).write_text(",".join(SWEEP_COLUMNS) + "\n" + body)
+    _write_table(path, SWEEP_COLUMNS, data)
 
 
 def read_sweep_csv(path, sample_id: str, kind: str, field_mT: float, t_start_s: float) -> SweepTrace:
     """Parse one sweep file; any malformed content is a DataError naming it."""
+    table = _read_table(path, SWEEP_COLUMNS)
     try:
-        with open(path) as f:
-            if f.readline().rstrip("\n") != ",".join(SWEEP_COLUMNS):
-                raise DataError(f"{path}: missing or wrong sweep header")
-            # loadtxt warns and returns no rows on a body without data
-            start = f.tell()
-            if not f.readline().strip():
-                raise DataError(f"{path}: no data on line 2")
-            f.seek(start)
-            data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{path}: malformed sweep data: {exc}") from exc
-    if data.shape[1] != len(SWEEP_COLUMNS):
-        raise DataError(
-            f"{path}: {data.shape[1]} columns, expected {len(SWEEP_COLUMNS)}"
-        )
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        # loadtxt skips empty lines, so map the data row back to its line
-        body = Path(path).read_text().splitlines()[1:]
-        lines = [n for n, line in enumerate(body, 2) if line]
-        line = lines[int(np.argmin(finite))]
-        raise DataError(f"{path}: line {line}: non-finite reading")
-    try:
-        return SweepTrace(
-            sample_id=sample_id,
-            kind=kind,
-            field_mT=field_mT,
-            t_start_s=t_start_s,
-            tau_s=data[:, 0],
-            t_meas_K=data[:, 1],
-            r_meas_ohm=data[:, 2],
-        )
+        return SweepTrace(sample_id, kind, field_mT, t_start_s, *table.values())
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def write_csv(path, columns, rows) -> None:
-    """Generic CSV writer; floats go through fmt(), everything else via str."""
-    out = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, bool):
-                cells.append(str(int(v)))
-            elif isinstance(v, (float, np.floating)):
-                cells.append(fmt(v))
-            else:
-                cells.append(str(v))
-        out.append(",".join(cells))
-    Path(path).write_text("\n".join(out) + "\n")
+    """Write a table: a header row, text cells as they are, numbers with %.17g."""
+    _write_table(path, columns, rows)
 
 
 def read_csv(path, columns, text_columns=()) -> dict:
-    """Read a table written by `write_csv` as {column: array}.
-
-    Columns in text_columns stay strings, the rest parse as floats. A wrong
-    header, a ragged row, a non-numeric or non-finite cell or a table
-    without rows is a DataError naming the file.
-    """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{path}: cannot read: {exc}") from exc
-    if not lines or lines[0] != ",".join(columns):
-        raise DataError(f"{path}: missing or wrong header, expected {','.join(columns)}")
-    rows = [line.split(",") for line in lines[1:]]
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    for n, row in enumerate(rows, 2):
-        if len(row) != len(columns):
-            raise DataError(f"{path}: line {n}: {len(row)} cells, expected {len(columns)}")
-    table = {}
-    for name, cells in zip(columns, zip(*rows)):
-        if name in text_columns:
-            table[name] = np.array(cells)
-            continue
-        try:
-            table[name] = np.array(cells, dtype=float)
-        except ValueError as exc:
-            raise DataError(f"{path}: column {name}: {exc}") from exc
-        finite = np.isfinite(table[name])
-        if not finite.all():
-            raise DataError(f"{path}: line {2 + int(np.argmin(finite))}: non-finite {name}")
-    return table
+    """{column: array} of a `write_csv` table; text_columns stay str, the rest finite floats."""
+    return _read_table(path, columns, text_columns)
 
 
 def write_dataset(out_dir, config: CampaignConfig, triplets) -> Path:
@@ -198,7 +163,7 @@ def read_manifest(run_dir) -> dict:
         raise DataError(f"no {MANIFEST_NAME} found in {run_dir}")
     try:
         manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not text
         raise DataError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError(f"{path}: not a JSON object")
@@ -258,10 +223,7 @@ def read_triplet(run_dir, group) -> TripletRecord:
         for position, e in entries.items()
     }
     try:
-        return TripletRecord(
-            pre=sweeps["pre"], mid=sweeps["mid"], post=sweeps["post"],
-            field_mT=field, replication=rep,
-        )
+        return TripletRecord(**sweeps, field_mT=field, replication=rep)
     except ValueError as exc:
         paths = ", ".join(str(run_dir / entries[p]["path"]) for p in ("pre", "mid", "post"))
         raise DataError(f"{paths}: {exc}") from exc

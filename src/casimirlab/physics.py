@@ -69,10 +69,12 @@ class CavityParams:
     """A film embedded in a rigid cavity, plus the phenomenological shift curve.
 
     gap_nm / gap_crossover_nm / gap_exponent parameterize the gap dependence
-    of the cavity free-energy variation. shift_max_uK is the plateau value
-    of the induced critical-temperature displacement; h_rise_mT and
-    h_merge_mT are the field scales at which the shift turns on and at which
-    the film and cavity curves merge again.
+    of the cavity free-energy variation. They are recorded in the config and
+    the manifest but enter only `cavity_energy_ratio`; the simulated shift
+    does not depend on them. shift_max_uK is the plateau value of the induced
+    critical-temperature displacement; h_rise_mT and h_merge_mT are the field
+    scales at which the shift turns on and at which the film and cavity
+    curves merge again. These three are all that `cavity_shift` reads.
     """
 
     film: FilmParams

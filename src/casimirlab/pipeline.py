@@ -50,7 +50,7 @@ class AnalysisResult:
         return [e for e in self.estimates if e.kind == "cavity"]
 
 
-def sample_tc0(triplets, sample_id: str, rn_ohm: float | None = None) -> float:
+def sample_tc0(triplets, sample_id: str, rn_ohm: float) -> float:
     """Tc0 of one sample from its zero-field sweeps, corrected for drift.
 
     The apparent zero-field transition temperature rises linearly with
@@ -116,17 +116,12 @@ def analyze_campaign(
     rn_ohm: float,
     fit_threshold_mT: float | None = None,
     include_linear: bool = False,
-    n_levels: int | None = None,
 ) -> AnalysisResult:
     """Run the full estimation pipeline on a campaign's triplets."""
     sample_ids = sorted({t.sample_id for t in triplets})
     tc0 = {sid: sample_tc0(triplets, sid, rn_ohm) for sid in sample_ids}
 
-    kwargs = {} if n_levels is None else {"n_levels": n_levels}
-    estimates = [
-        drift_corrected_shift(t, tc0[t.sample_id], rn_ohm=rn_ohm, **kwargs)
-        for t in triplets
-    ]
+    estimates = [drift_corrected_shift(t, tc0[t.sample_id], rn_ohm) for t in triplets]
 
     film_est = [e for e in estimates if e.kind == "film"]
     cav_est = [e for e in estimates if e.kind == "cavity"]

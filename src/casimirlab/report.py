@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .analysis import field_means
-from .io import fmt, read_csv, read_manifest, read_triplet, sweep_groups, write_csv
+from .io import read_csv, read_manifest, read_triplet, sweep_groups, write_csv
 from .pipeline import AnalysisResult
 
 ANALYSIS_DIR = "analysis"
@@ -94,14 +94,14 @@ def write_analysis(run_dir, result: AnalysisResult, out_dir=None) -> Path:
     write_csv(
         out / "differential.csv",
         DIFFERENTIAL_COLUMNS,
-        zip(diff.field_mT, diff.gap_uK, diff.sigma_uK),
+        zip(diff.field_mT.tolist(), diff.gap_uK.tolist(), diff.sigma_uK.tolist()),
     )
 
     sens = "n/a" if result.sensitivity_uK is None else f"{result.sensitivity_uK:.3f} uK"
     summary = [
         f"triplets analyzed: {len(result.estimates)}",
-        *(f"Tc0[{sid}] = {fmt(tc)} K" for sid, tc in sorted(result.tc0_K.items())),
-        f"film fit: a = {fmt(fit.a)} /mT^2, b = {fmt(fit.b)} /mT "
+        *(f"Tc0[{sid}] = {tc:.17g} K" for sid, tc in sorted(result.tc0_K.items())),
+        f"film fit: a = {fit.a:.17g} /mT^2, b = {fit.b:.17g} /mT "
         f"(|H| >= {fit.field_threshold_mT:.3f} mT, n = {fit.n_points})",
         f"sensitivity: {sens}",
         f"max gap: {diff.max_gap_uK:.3f} +- {diff.sigma_at_max_uK:.3f} uK "
@@ -131,20 +131,18 @@ def write_report(run_dir, out_dir=None, n_curve: int = 101) -> Path:
         raise DataError(f"{analysis / 'shifts.csv'}: no film rows")
     columns = ("field_mT", "delta_t", "sigma_delta_t", "shift_uK", "sigma_uK")
     data = [shifts[c][film] for c in columns]
-    rows = [("data", *values) for values in zip(*data)]
+    rows = list(zip(["data"] * len(data[0]), *(values.tolist() for values in data)))
     h_data, dt_data, shift_data = data[0], data[1], data[3]
     # film Tc0 from any row with a nonzero shift; when every shift is zero,
     # so is the fitted parabola and Tc0 does not enter
     nonzero = np.flatnonzero(dt_data != 0)
     tc0_K = shift_data[nonzero[0]] / dt_data[nonzero[0]] / 1e6 if nonzero.size else 0.0
-    for h in np.linspace(h_data.min(), h_data.max(), n_curve):
-        dt = a * h * h + b * h
-        rows.append(("fit", h, dt, 0.0, dt * tc0_K * 1e6, 0.0))
-    write_csv(
-        out / "fig_parabola.csv",
-        ("series", "field_mT", "delta_t", "sigma_delta_t", "shift_uK", "sigma_uK"),
-        rows,
-    )
+    h = np.linspace(h_data.min(), h_data.max(), n_curve)
+    dt = a * h * h + b * h
+    zeros = [0.0] * n_curve
+    rows += zip(["fit"] * n_curve, h.tolist(), dt.tolist(), zeros,
+                (dt * tc0_K * 1e6).tolist(), zeros)
+    write_csv(out / "fig_parabola.csv", ("series", *columns), rows)
 
     # Fig 5 style: R vs T for one film triplet, at the field closest to 7.2 mT;
     # only that triplet's sweeps are parsed
@@ -162,10 +160,9 @@ def write_report(run_dir, out_dir=None, n_curve: int = 101) -> Path:
     )
     rows = []
     for position, trace in pick.sweeps():
-        rows.extend(
-            (position, trace.field_mT, tau, t, r)
-            for tau, t, r in zip(trace.tau_s, trace.t_meas_K, trace.r_meas_ohm)
-        )
+        n = trace.n_points
+        rows += zip([position] * n, [trace.field_mT] * n, trace.tau_s.tolist(),
+                    trace.t_meas_K.tolist(), trace.r_meas_ohm.tolist())
     write_csv(
         out / "fig_triplet.csv",
         ("position", "field_mT", "tau_s", "T_meas_K", "R_meas_ohm"),

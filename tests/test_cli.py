@@ -32,6 +32,7 @@ from casimirlab.io import (
     read_csv,
     read_manifest,
     read_sweep_csv,
+    write_csv,
     write_sweep_csv,
 )
 from casimirlab.report import SHIFTS_COLUMNS
@@ -110,6 +111,22 @@ def write_sweep_csv_reference(path, trace):
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_csv_reference(path, columns, rows):
+    """The per-cell table writer, kept to pin the file format."""
+    out = [",".join(columns)]
+    for row in rows:
+        cells = []
+        for v in row:
+            if isinstance(v, bool):
+                cells.append(str(int(v)))
+            elif isinstance(v, (float, np.floating)):
+                cells.append(format(float(v), ".17g"))
+            else:
+                cells.append(str(v))
+        out.append(",".join(cells))
+    path.write_text("\n".join(out) + "\n")
+
+
 class TestConfig:
     def test_example_config_round_trip(self, tmp_path):
         path = write_example_config(tmp_path / "example.ini")
@@ -165,6 +182,22 @@ class TestConfig:
             main, ["simulate", "--config", str(path), "--out", str(tmp_path / "r")])
         assert result.exit_code == 2
         assert bad in result.stderr
+
+    @pytest.mark.parametrize("setting, key", [
+        (("homogeneity = 0.0001", "homogeneity = nan"), "homogeneity"),
+        (("sweep_duration_s = 1200.0", "sweep_duration_s = inf"), "sweep_duration_s"),
+        (("fields_mT = 0.5 ", "fields_mT = 7.2 nan 0.5 "), "fields_mT"),
+    ])
+    def test_non_finite_value_exits_2_naming_it(self, runner, tmp_path, setting, key):
+        path = tmp_path / "nan.ini"
+        assert setting[0] in EXAMPLE_CONFIG
+        path.write_text(EXAMPLE_CONFIG.replace(*setting))
+        with pytest.raises(ConfigError, match=rf"{key}: not a finite number"):
+            load_config(path)
+        result = runner.invoke(
+            main, ["simulate", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert result.exit_code == 2
+        assert key in result.stderr
 
     def test_keys_match_case_insensitively(self, tmp_path):
         path = tmp_path / "case.ini"
@@ -238,6 +271,15 @@ class TestSimulateCommand:
             assert fa.read_bytes() == fb.read_bytes()
         assert normalized_manifest_bytes(a) == normalized_manifest_bytes(b)
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_2(self, runner, small_config, tmp_path, seed):
+        result = runner.invoke(
+            main, ["simulate", "--config", str(small_config), "--out", str(tmp_path / "o"),
+                   "--seed", seed])
+        assert result.exit_code == 2
+        assert "--seed" in result.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_config_error_exit_code(self, runner, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[film]\n")
@@ -296,6 +338,30 @@ class TestSweepCsv:
             assert np.array_equal(a, b)
             # array_equal treats -0.0 == 0.0; the bit patterns must agree too
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestTableCsv:
+    COLUMNS = ("name", "count", "flag", "x", "y", "z")
+    ROWS = [
+        ("film01", 3, True, np.float64(0.1), -0.0, 5e-324),
+        ("cav01", -12, False, np.float64(-2.2250738585072014e-308), 1e300, 1.7976931348623157e308),
+        ("film01", 0, True, np.float64(1 / 3), 0.0, -1.7976931348623157e308),
+        ("x", 10**15, False, np.float64(np.nextafter(1.5, 2.0)), -1e-300, 4.9e-322),
+    ]
+
+    def test_bytes_match_reference_writer(self, tmp_path):
+        write_csv(tmp_path / "new.csv", self.COLUMNS, self.ROWS)
+        write_csv_reference(tmp_path / "ref.csv", self.COLUMNS, self.ROWS)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_read_back_bit_exact(self, tmp_path):
+        write_csv(tmp_path / "t.csv", self.COLUMNS, self.ROWS)
+        table = read_csv(tmp_path / "t.csv", self.COLUMNS, ("name",))
+        assert list(table["name"]) == [row[0] for row in self.ROWS]
+        for j, name in enumerate(self.COLUMNS[1:], 1):
+            expected = np.array([float(row[j]) for row in self.ROWS])
+            assert table[name].dtype == np.float64
+            assert np.array_equal(table[name].view(np.uint64), expected.view(np.uint64))
 
 
 def _edit_line(path, line, edit):
@@ -370,6 +436,11 @@ def _set_config(edit):
     return edit_manifest
 
 
+def _manifest_not_text(run_dir):
+    (run_dir / "manifest.json").write_bytes(b"\xff\xfe{}")
+    return "manifest.json"
+
+
 # each mutation damages one sweep file or the manifest and returns the name of
 # the file the error must name
 MUTATIONS = {
@@ -402,6 +473,9 @@ MUTATIONS = {
         _set_config(lambda c: c["noise"].update(seed=1.5))),
     "snapshot unknown key": _manifest_edit(
         _set_config(lambda c: c["cavity"].update(gap_exponet=2.0))),
+    "snapshot NaN value": _manifest_edit(
+        _set_config(lambda c: c["campaign"].update(homogeneity=float("nan")))),
+    "manifest not text": _manifest_not_text,
 }
 
 
@@ -616,6 +690,17 @@ class TestAnalyzeCommand:
         assert fit_row[9] == "1"
 
 
+def _ragged_row(blank_line):
+    """Edit of an analysis CSV: one cell too many on a data row, optionally after an empty line."""
+    def edit(text):
+        lines = text.splitlines()
+        lines[3] += ",1"
+        if blank_line:
+            lines.insert(2, "")
+        return "\n".join(lines) + "\n"
+    return edit
+
+
 class TestReportCommand:
     @pytest.fixture
     def analyzed_run(self, runner, tmp_path):
@@ -727,7 +812,10 @@ class TestReportCommand:
             for line in text.splitlines()) + "\n"),
         ("shifts.csv", lambda text: "\n".join(
             line for line in text.splitlines() if ",film," not in line) + "\n"),
-    ], ids=["non-numeric shift_uK", "fits header only", "no delta_t column", "no film rows"])
+        ("shifts.csv", _ragged_row(blank_line=False)),
+        ("shifts.csv", _ragged_row(blank_line=True)),
+    ], ids=["non-numeric shift_uK", "fits header only", "no delta_t column", "no film rows",
+            "ragged row", "empty line and ragged row"])
     def test_malformed_analysis_csv_exits_3_naming_file(self, runner, analyzed_run, name, edit):
         path = analyzed_run / "analysis" / name
         text = path.read_text()
@@ -737,6 +825,21 @@ class TestReportCommand:
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
         assert name in result.stderr
+
+    def test_empty_lines_skipped_in_every_table(self, runner, analyzed_run):
+        run_ok(runner, ["report", str(analyzed_run)])
+        report = analyzed_run / "report"
+        expected = {p.name: p.read_bytes() for p in report.glob("*.csv")}
+        shifts = analyzed_run / "analysis" / "shifts.csv"
+        expected_shifts = shifts.read_bytes()
+        for path in [shifts, analyzed_run / "analysis" / "fits.csv",
+                     *(analyzed_run / "sweeps").glob("*.csv")]:
+            header, *rows = path.read_text().splitlines()
+            path.write_text("\n".join([header, "", *rows[:5], "", "", *rows[5:], ""]) + "\n")
+        run_ok(runner, ["report", str(analyzed_run)])
+        assert {p.name: p.read_bytes() for p in report.glob("*.csv")} == expected
+        run_ok(runner, ["analyze", str(analyzed_run)])
+        assert shifts.read_bytes() == expected_shifts
 
     def test_report_requires_analysis(self, runner, tmp_path, small_config):
         out = tmp_path / "run"
