@@ -29,6 +29,7 @@ from .analysis import (  # noqa: F401
     DifferentialSignal,
     FitResult,
     ShiftEstimate,
+    default_levels,
     differential_signal,
     drift_corrected_shift,
     estimate_sensitivity,

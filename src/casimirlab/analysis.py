@@ -24,7 +24,9 @@ from .simulate import SweepTrace, TripletRecord
 WINDOW_LO = 0.2
 WINDOW_HI = 0.8
 
-DEFAULT_N_LEVELS = 50
+DEFAULT_N_LEVELS = 50  # resistance levels of the shift estimate
+TC0_WINDOW_FRAC = 0.05  # Tc0 regression window, as a fraction of the sweep
+DIFF_GRID_POINTS = 241  # field grid of the differential signal
 
 # Adjacent resistance levels reuse the same noisy points, so the per-level
 # differences are correlated; the effective sample size is reduced by this
@@ -155,11 +157,11 @@ def _quadratic_fit(x, y):
     )
 
 
-def extract_tc0(trace: SweepTrace, rn_ohm: float, window_frac: float = 0.05) -> float:
+def extract_tc0(trace: SweepTrace, rn_ohm: float) -> float:
     """Transition temperature: the T maximizing dR/dT.
 
     The derivative is estimated by local quadratic regression over a sliding
-    window of `window_frac` of the trace length, centered on each candidate
+    window of TC0_WINDOW_FRAC of the trace length, centered on each candidate
     point (only points with R in (0.05, 0.95)*RN are candidates). For the
     noiseless logistic model this returns Tc(H) within grid resolution.
     """
@@ -173,7 +175,7 @@ def extract_tc0(trace: SweepTrace, rn_ohm: float, window_frac: float = 0.05) -> 
     order = np.argsort(t, kind="stable")
     t, r = t[order], r[order]
     n = len(t)
-    w = max(5, int(round(window_frac * n)) | 1)
+    w = max(5, int(round(TC0_WINDOW_FRAC * n)) | 1)
     half = w // 2
 
     cand = np.nonzero((r > 0.05 * rn) & (r < 0.95 * rn))[0]
@@ -237,77 +239,56 @@ def _monotone_knots(trace: SweepTrace, rn_ohm: float):
     return knot_r, knot_t
 
 
-def invert_trace(trace: SweepTrace, r_levels, rn_ohm: float):
+def invert_trace(trace: SweepTrace, r_levels, rn_ohm: float) -> np.ndarray:
     """T(R) at the given resistance levels, by monotone inversion.
 
-    Returns (levels, temperatures) arrays. Levels must lie inside the
-    (0.2, 0.8)*RN averaging window.
+    Levels must lie inside the (0.2, 0.8)*RN averaging window.
     """
     levels = np.asarray(r_levels, dtype=float)
     if np.any(levels <= WINDOW_LO * rn_ohm) or np.any(levels >= WINDOW_HI * rn_ohm):
         raise ValueError("resistance levels must lie inside the (0.2, 0.8)*RN window")
     knot_r, knot_t = _monotone_knots(trace, rn_ohm)
-    return levels, np.interp(levels, knot_r, knot_t)
+    return np.interp(levels, knot_r, knot_t)
 
 
-def default_levels(rn_ohm: float, n_levels: int = DEFAULT_N_LEVELS) -> np.ndarray:
-    """Even grid of resistance levels strictly inside (0.2, 0.8)*RN."""
-    frac = WINDOW_LO + (WINDOW_HI - WINDOW_LO) * (np.arange(n_levels) + 0.5) / n_levels
+def default_levels(rn_ohm: float) -> np.ndarray:
+    """Even grid of DEFAULT_N_LEVELS resistance levels strictly inside (0.2, 0.8)*RN."""
+    n = DEFAULT_N_LEVELS
+    frac = WINDOW_LO + (WINDOW_HI - WINDOW_LO) * (np.arange(n) + 0.5) / n
     return frac * rn_ohm
 
 
-def estimate_shift(
-    zero: SweepTrace,
-    field: SweepTrace,
-    tc0_K: float,
-    rn_ohm: float,
-    n_levels: int = DEFAULT_N_LEVELS,
-) -> ShiftEstimate:
+def estimate_shift(t_zero, t_field, tc0_K: float) -> tuple[float, float]:
     """Averaged-difference estimator: delta_t = mean_R [T(R,0) - T(R,H)] / Tc0.
 
-    The average runs over an even grid of n_levels resistance values across
-    the (0.2, 0.8)*RN window. The standard error divides the per-level
-    scatter by sqrt(n_levels / LEVEL_CORRELATION_FACTOR) to account for the
-    correlation between adjacent levels.
+    t_zero and t_field are T(R) of a zero-field and an in-field sweep at the
+    same resistance levels. Returns (delta_t, sigma); the standard error
+    divides the per-level scatter by sqrt(levels / LEVEL_CORRELATION_FACTOR)
+    to account for the correlation between adjacent levels.
     """
-    levels = default_levels(rn_ohm, n_levels)
-    _, t_zero = invert_trace(zero, levels, rn_ohm)
-    _, t_field = invert_trace(field, levels, rn_ohm)
     diffs = t_zero - t_field
     delta_t = float(np.mean(diffs)) / tc0_K
-    n_eff = max(1.0, n_levels / LEVEL_CORRELATION_FACTOR)
-    sigma = float(np.std(diffs, ddof=1)) / np.sqrt(n_eff) / tc0_K
-    return ShiftEstimate(
-        field_mT=field.field_mT,
-        delta_t=delta_t,
-        sigma_delta_t=sigma,
-        n_levels=n_levels,
-        sample_id=field.sample_id,
-        kind=field.kind,
-    )
+    n_eff = max(1.0, len(diffs) / LEVEL_CORRELATION_FACTOR)
+    return delta_t, float(np.std(diffs, ddof=1)) / np.sqrt(n_eff) / tc0_K
 
 
-def drift_corrected_shift(
-    triplet: TripletRecord,
-    tc0_K: float,
-    rn_ohm: float,
-    n_levels: int = DEFAULT_N_LEVELS,
-) -> ShiftEstimate:
+def drift_corrected_shift(triplet: TripletRecord, tc0_K: float, rn_ohm: float) -> ShiftEstimate:
     """Mean of the pre-vs-mid and post-vs-mid estimates.
 
-    For drift linear in time and a symmetric triplet schedule the two
-    one-sided biases are equal and opposite, so the mean is exactly
-    drift-free; uncertainties combine in quadrature.
+    Each sweep is inverted once at the default levels. For drift linear in
+    time and a symmetric triplet schedule the two one-sided biases are
+    equal and opposite, so the mean is exactly drift-free; uncertainties
+    combine in quadrature.
     """
-    before = estimate_shift(triplet.pre, triplet.mid, tc0_K, rn_ohm, n_levels)
-    after = estimate_shift(triplet.post, triplet.mid, tc0_K, rn_ohm, n_levels)
-    delta_t = 0.5 * (before.delta_t + after.delta_t)
-    sigma = 0.5 * np.hypot(before.sigma_delta_t, after.sigma_delta_t)
+    levels = default_levels(rn_ohm)
+    t_pre, t_mid, t_post = (invert_trace(s, levels, rn_ohm) for _, s in triplet.sweeps())
+    before, sigma_before = estimate_shift(t_pre, t_mid, tc0_K)
+    after, sigma_after = estimate_shift(t_post, t_mid, tc0_K)
     return ShiftEstimate(
         field_mT=triplet.field_mT,
-        delta_t=delta_t,
-        sigma_delta_t=float(sigma),
-        n_levels=n_levels,
+        delta_t=0.5 * (before + after),
+        sigma_delta_t=float(0.5 * np.hypot(sigma_before, sigma_after)),
+        n_levels=DEFAULT_N_LEVELS,
         sample_id=triplet.sample_id,
         kind=triplet.kind,
         replication=triplet.replication,
@@ -395,12 +376,7 @@ def field_means(field_mT, y, sigma):
     return fields, np.array(means), np.array(variances)
 
 
-def differential_signal(
-    film_fit: FitResult,
-    cavity_estimates,
-    tc0_K: float,
-    n_grid: int = 241,
-) -> DifferentialSignal:
+def differential_signal(film_fit: FitResult, cavity_estimates, tc0_K: float) -> DifferentialSignal:
     """Gap between the film parabola and the interpolated cavity data, in uK.
 
     The cavity curve is taken non-parametrically: per-field weighted means,
@@ -417,7 +393,7 @@ def differential_signal(
     )
     if len(fields) < 2:
         raise InsufficientData("differential signal needs >= 2 distinct fields")
-    grid = np.linspace(fields.min(), fields.max(), n_grid)
+    grid = np.linspace(fields.min(), fields.max(), DIFF_GRID_POINTS)
     dt_cav = np.interp(grid, fields, cav_dt)
     var_cav = np.interp(grid, fields, cav_var)
 

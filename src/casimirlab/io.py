@@ -67,28 +67,41 @@ def _write_table(path, columns, rows) -> None:
     Path(path).write_text(",".join(columns) + "\n" + body)
 
 
+def _data_lines(body) -> list:
+    """(file line, text) of each row loadtxt parses; it skips empty lines."""
+    return [(n, line) for n, line in enumerate(body.split("\n"), 2) if line]
+
+
 def _read_table(path, columns, text_columns=()) -> dict:
     """Parse a table written by `_write_table` as {column: array}.
 
     Columns in text_columns stay str, the rest must be finite floats; empty
-    lines are skipped. Any malformed content is a DataError naming the file.
+    lines are skipped. Malformed content is a DataError naming the file (and line).
     """
     try:
         header, _, body = Path(path).read_text().partition("\n")
-        if header != ",".join(columns):
-            raise DataError(f"{path}: missing or wrong header, expected {','.join(columns)}")
-        if not body.strip():
-            raise DataError(f"{path}: no data rows")
-        dtype = [(name, object if name in text_columns else float) for name in columns]
-        data = np.loadtxt(StringIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, or not text
+        raise DataError(f"{path}: {exc}") from exc
+    if header != ",".join(columns):
+        raise DataError(f"{path}: missing or wrong header, expected {','.join(columns)}")
+    if not body.strip():
+        raise DataError(f"{path}: no data rows")
+    parse = dict(dtype=[(c, object if c in text_columns else float) for c in columns],
+                 delimiter=",", comments=None, ndmin=1)
+    try:
+        data = np.loadtxt(StringIO(body), **parse)
+    except ValueError as exc:
+        for n, line in _data_lines(body):  # the first line that fails on its own
+            try:
+                np.loadtxt([line], **parse)
+            except ValueError as row_exc:
+                raise DataError(f"{path}: line {n}: {str(row_exc).split(' at row')[0]}") from exc
         raise DataError(f"{path}: {exc}") from exc
     for name in columns:
         finite = name in text_columns or np.isfinite(data[name])
         if not np.all(finite):
-            # loadtxt skips empty lines, so map the data row back to its line
-            lines = [n for n, line in enumerate(body.split("\n"), 2) if line]
-            raise DataError(f"{path}: line {lines[np.argmin(finite)]}: non-finite {name}")
+            line = _data_lines(body)[np.argmin(finite)][0]
+            raise DataError(f"{path}: line {line}: non-finite {name}")
     return {name: data[name] for name in columns}
 
 
@@ -199,7 +212,11 @@ def sweep_groups(run_dir, manifest: dict) -> list:
         if not path.exists():
             raise DataError(f"manifest lists missing file {path}")
         key = (entry["sample_id"], entry["field_mT"], entry["replication"])
-        groups.setdefault(key, {})[entry["position"]] = entry
+        group, position = groups.setdefault(key, {}), entry["position"]
+        if position in group:
+            raise DataError(f"{manifest_path}: {group[position]['path']} and {entry['path']} are "
+                            "both the {} sweep of {} at {} mT rep {}".format(position, *key))
+        group[position] = entry
 
     incomplete = sorted(
         key for key, sweeps in groups.items() if set(sweeps) != {"pre", "mid", "post"}

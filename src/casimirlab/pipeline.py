@@ -99,16 +99,9 @@ def auto_field_threshold(estimates, tc0_K: float, sensitivity_uK: float) -> floa
     """
     prelim = fit_parabola(estimates, field_threshold_mT=0.0, include_linear=False)
     target_dt = HIGH_FIELD_SENSITIVITY_MULTIPLE * sensitivity_uK * 1e-6 / tc0_K
-    if prelim.a > 0:
-        thr = float(np.sqrt(target_dt / prelim.a))
-    else:
-        thr = 0.0
+    thr = float(np.sqrt(target_dt / prelim.a)) if prelim.a > 0 else 0.0
     mags = sorted({abs(e.field_mT) for e in estimates}, reverse=True)
-    if len(mags) >= 3:
-        thr = min(thr, mags[2])
-    else:
-        thr = 0.0
-    return thr
+    return min(thr, mags[2]) if len(mags) >= 3 else 0.0
 
 
 def analyze_campaign(

@@ -20,6 +20,7 @@ from .pipeline import AnalysisResult
 
 ANALYSIS_DIR = "analysis"
 REPORT_DIR = "report"
+FIT_CURVE_POINTS = 101  # samples of the fitted parabola in fig_parabola.csv
 
 SHIFTS_COLUMNS = (
     "sample_id",
@@ -111,7 +112,7 @@ def write_analysis(run_dir, result: AnalysisResult, out_dir=None) -> Path:
     return out
 
 
-def write_report(run_dir, out_dir=None, n_curve: int = 101) -> Path:
+def write_report(run_dir, out_dir=None) -> Path:
     """Build the plot-ready CSVs from a run's analysis outputs."""
     run_dir = Path(run_dir)
     analysis = run_dir / ANALYSIS_DIR
@@ -137,10 +138,10 @@ def write_report(run_dir, out_dir=None, n_curve: int = 101) -> Path:
     # so is the fitted parabola and Tc0 does not enter
     nonzero = np.flatnonzero(dt_data != 0)
     tc0_K = shift_data[nonzero[0]] / dt_data[nonzero[0]] / 1e6 if nonzero.size else 0.0
-    h = np.linspace(h_data.min(), h_data.max(), n_curve)
+    h = np.linspace(h_data.min(), h_data.max(), FIT_CURVE_POINTS)
     dt = a * h * h + b * h
-    zeros = [0.0] * n_curve
-    rows += zip(["fit"] * n_curve, h.tolist(), dt.tolist(), zeros,
+    zeros = [0.0] * FIT_CURVE_POINTS
+    rows += zip(["fit"] * FIT_CURVE_POINTS, h.tolist(), dt.tolist(), zeros,
                 (dt * tc0_K * 1e6).tolist(), zeros)
     write_csv(out / "fig_parabola.csv", ("series", *columns), rows)
 

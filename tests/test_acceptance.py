@@ -17,9 +17,12 @@ from click.testing import CliRunner
 
 import casimirlab as cl
 from casimirlab.analysis import (
+    ShiftEstimate,
+    default_levels,
     drift_corrected_shift,
     estimate_shift,
     estimate_sensitivity,
+    invert_trace,
 )
 from casimirlab.cli import main
 from casimirlab.config import default_config, default_film
@@ -45,6 +48,14 @@ def report(num, label, ok, detail=""):
         line += f" ({detail})"
     print(line)
     assert ok, line
+
+
+def one_sided_shift(zero, field, tc0_K, rn_ohm):
+    """ShiftEstimate of one in-field sweep against one zero-field sweep."""
+    levels = default_levels(rn_ohm)
+    t_zero, t_field = (invert_trace(s, levels, rn_ohm) for s in (zero, field))
+    delta_t, sigma = estimate_shift(t_zero, t_field, tc0_K)
+    return ShiftEstimate(field.field_mT, delta_t, sigma, len(levels), field.sample_id, field.kind)
 
 
 def logistic_trace(tc_K, width_mK, rn_ohm, t_grid, field_mT=0.0, sample_id="s"):
@@ -108,7 +119,7 @@ def test_criterion_04_estimator_exactness():
         grid = np.linspace(tc - half, tc + half, n)
         zero = logistic_trace(tc, width, rn, grid)
         moved = logistic_trace(tc - shift, width, rn, grid - shift, field_mT=5.0)
-        est = estimate_shift(zero, moved, tc, rn_ohm=rn)
+        est = one_sided_shift(zero, moved, tc, rn_ohm=rn)
         worst = max(worst, abs(est.delta_t - shift / tc))
     ok = worst < 1e-10
     report(4, "shift estimator exactness", ok, f"worst delta_t error {worst:.2e}")
@@ -124,8 +135,8 @@ def test_criterion_05_drift_cancellation():
     true_uK = delta_t_of_field(cfg.film, 7.2) * tc0 * 1e6
 
     corrected = drift_corrected_shift(trip, tc0, rn_ohm=RN).shift_uK(tc0)
-    before = estimate_shift(trip.pre, trip.mid, tc0, rn_ohm=RN).shift_uK(tc0)
-    after = estimate_shift(trip.post, trip.mid, tc0, rn_ohm=RN).shift_uK(tc0)
+    before = one_sided_shift(trip.pre, trip.mid, tc0, rn_ohm=RN).shift_uK(tc0)
+    after = one_sided_shift(trip.post, trip.mid, tc0, rn_ohm=RN).shift_uK(tc0)
 
     # one-sided bias: -drift * spacing (pre leads the field sweep, post trails)
     bias_uK = -cfg.noise.drift_uK_per_hr * cfg.sweep_spacing_s / 3600.0

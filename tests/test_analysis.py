@@ -23,7 +23,13 @@ from casimirlab import (
     invert_trace,
     run_triplet,
 )
-from casimirlab.analysis import _quadratic_fit, default_levels, pav_increasing
+from casimirlab import analysis
+from casimirlab.analysis import (
+    LEVEL_CORRELATION_FACTOR,
+    _quadratic_fit,
+    default_levels,
+    pav_increasing,
+)
 from casimirlab.config import default_config
 from casimirlab.errors import (
     IncompleteTransition,
@@ -46,6 +52,28 @@ def translated(trace, dT):
 def logistic_trace(film, n=400, field=0.0, t_start=0.0):
     noise = NoiseModel(seed=0)
     return generate_sweep("film", film, field, noise, t_start, 1200.0, n)
+
+
+def one_sided_shift(zero, field, tc0_K, rn_ohm, levels=None):
+    """ShiftEstimate of one in-field sweep against one zero-field sweep."""
+    levels = default_levels(rn_ohm) if levels is None else levels
+    t_zero, t_field = (invert_trace(s, levels, rn_ohm) for s in (zero, field))
+    delta_t, sigma = estimate_shift(t_zero, t_field, tc0_K)
+    return ShiftEstimate(field.field_mT, delta_t, sigma, len(levels), field.sample_id, field.kind)
+
+
+def drift_corrected_shift_reference(triplet, tc0_K, rn_ohm):
+    """The former two-call estimator: each one-sided estimate inverts both of
+    its sweeps, so the mid sweep is inverted twice. Returns (delta_t, sigma)."""
+    levels = default_levels(rn_ohm)
+    n_eff = max(1.0, len(levels) / LEVEL_CORRELATION_FACTOR)
+    sides = []
+    for zero in (triplet.pre, triplet.post):
+        diffs = invert_trace(zero, levels, rn_ohm) - invert_trace(triplet.mid, levels, rn_ohm)
+        sigma = float(np.std(diffs, ddof=1)) / np.sqrt(n_eff) / tc0_K
+        sides.append((float(np.mean(diffs)) / tc0_K, sigma))
+    (before, sigma_before), (after, sigma_after) = sides
+    return 0.5 * (before + after), float(0.5 * np.hypot(sigma_before, sigma_after))
 
 
 def pav_reference(y):
@@ -201,8 +229,8 @@ class TestExtractTc0:
 class TestInvertTrace:
     def test_noiseless_matches_analytic_inverse(self, film):
         tr = logistic_trace(film, n=1200, field=3.0)
-        levels = default_levels(film.rn_ohm, 50)
-        _, t_at = invert_trace(tr, levels, film.rn_ohm)
+        levels = default_levels(film.rn_ohm)
+        t_at = invert_trace(tr, levels, film.rn_ohm)
         w_e = transition_width_e(film)
         tc = transition_midpoint(film, 3.0)
         analytic = tc + w_e * np.log(levels / (film.rn_ohm - levels))
@@ -211,7 +239,7 @@ class TestInvertTrace:
 
     def test_midpoint_level_matches_tc0_extraction(self, film):
         tr = logistic_trace(film, n=1200)
-        _, t_at = invert_trace(tr, [film.rn_ohm / 2], film.rn_ohm)
+        t_at = invert_trace(tr, [film.rn_ohm / 2], film.rn_ohm)
         assert t_at[0] == pytest.approx(extract_tc0(tr, film.rn_ohm), abs=2e-5)
 
     def test_levels_outside_window_rejected(self, film):
@@ -227,8 +255,8 @@ class TestInvertTrace:
         for seed in range(30):
             noise = NoiseModel(sigma_fast_uK=sigma_uK, seed=seed)
             tr = generate_sweep("film", film, 0.0, noise, 0.0, 1200.0, 1200)
-            levels = default_levels(film.rn_ohm, 50)
-            _, t_at = invert_trace(tr, levels, film.rn_ohm)
+            levels = default_levels(film.rn_ohm)
+            t_at = invert_trace(tr, levels, film.rn_ohm)
             analytic = film.tc0_K + w_e * np.log(levels / (film.rn_ohm - levels))
             devs.append(np.mean(np.abs(t_at - analytic)))
         assert np.mean(devs) < sigma_uK * 1e-6
@@ -243,13 +271,13 @@ class TestInvertTrace:
 class TestEstimateShift:
     def test_identical_traces_zero(self, film):
         tr = logistic_trace(film)
-        est = estimate_shift(tr, tr, film.tc0_K, rn_ohm=film.rn_ohm)
+        est = one_sided_shift(tr, tr, film.tc0_K, rn_ohm=film.rn_ohm)
         assert est.delta_t == 0.0
 
     def test_translation_covariance_exact(self, film):
         tr = logistic_trace(film)
         dT = 81e-6
-        est = estimate_shift(tr, translated(tr, -dT), film.tc0_K, rn_ohm=film.rn_ohm)
+        est = one_sided_shift(tr, translated(tr, -dT), film.tc0_K, rn_ohm=film.rn_ohm)
         assert est.delta_t == pytest.approx(dT / film.tc0_K, rel=1e-12)
 
     def test_random_shapes_translation_exact(self):
@@ -266,21 +294,25 @@ class TestEstimateShift:
             n = int(rng.integers(60, 400))
             tr = logistic_trace(film, n=n)
             dT = float(rng.uniform(-300e-6, 300e-6))
-            est = estimate_shift(tr, translated(tr, -dT), film.tc0_K, rn_ohm=film.rn_ohm)
+            est = one_sided_shift(tr, translated(tr, -dT), film.tc0_K, rn_ohm=film.rn_ohm)
             assert abs(est.delta_t - dT / film.tc0_K) < 1e-10
 
     def test_window_insensitivity_noiseless(self, film):
         zero = logistic_trace(film, field=0.0)
         at_field = logistic_trace(film, field=7.2)
-        a = estimate_shift(zero, at_field, film.tc0_K, n_levels=20, rn_ohm=film.rn_ohm)
-        b = estimate_shift(zero, at_field, film.tc0_K, n_levels=200, rn_ohm=film.rn_ohm)
+        # even grids of 20 and 200 levels strictly inside (0.2, 0.8)*RN
+        a, b = (
+            one_sided_shift(zero, at_field, film.tc0_K, film.rn_ohm,
+                            film.rn_ohm * (0.2 + 0.6 * (np.arange(n) + 0.5) / n))
+            for n in (20, 200)
+        )
         grid_step = 10 * film.width_mK * 1e-3 / 399 / film.tc0_K
         assert abs(a.delta_t - b.delta_t) < grid_step
 
     def test_noiseless_81uK(self, film):
         zero = logistic_trace(film, field=0.0)
         at_field = logistic_trace(film, field=7.2)
-        est = estimate_shift(zero, at_field, film.tc0_K, rn_ohm=film.rn_ohm)
+        est = one_sided_shift(zero, at_field, film.tc0_K, rn_ohm=film.rn_ohm)
         assert est.shift_uK(film.tc0_K) == pytest.approx(81.0, abs=0.01)
 
     def test_brute_force_oracle(self, film):
@@ -327,8 +359,8 @@ class TestEstimateShift:
         noise = NoiseModel(sigma_fast_uK=30.0, seed=17)
         zero = generate_sweep("film", film, 0.0, noise, 0.0, 1200.0, 64)
         at_field = generate_sweep("film", film, 7.2, noise, 1200.0, 1200.0, 64)
-        levels = default_levels(film.rn_ohm, 50)
-        est = estimate_shift(zero, at_field, film.tc0_K, rn_ohm=film.rn_ohm)
+        levels = default_levels(film.rn_ohm)
+        est = one_sided_shift(zero, at_field, film.tc0_K, rn_ohm=film.rn_ohm)
         t0 = brute_invert(zero, levels, film.rn_ohm)
         t1 = brute_invert(at_field, levels, film.rn_ohm)
         expected = float(np.mean(np.array(t0) - np.array(t1))) / film.tc0_K
@@ -352,11 +384,40 @@ class TestDriftCorrection:
             fields_mT=(7.2,),
         )
         trip = run_triplet(cfg, "film", 7.2, 0.0)
-        before = estimate_shift(trip.pre, trip.mid, film.tc0_K, rn_ohm=film.rn_ohm)
-        after = estimate_shift(trip.post, trip.mid, film.tc0_K, rn_ohm=film.rn_ohm)
+        before = one_sided_shift(trip.pre, trip.mid, film.tc0_K, rn_ohm=film.rn_ohm)
+        after = one_sided_shift(trip.post, trip.mid, film.tc0_K, rn_ohm=film.rn_ohm)
         bias = -drift * cfg.sweep_spacing_s / 3600.0  # uK, sign per sweep order
         assert before.shift_uK(film.tc0_K) == pytest.approx(81.0 + bias, abs=0.01)
         assert after.shift_uK(film.tc0_K) == pytest.approx(81.0 - bias, abs=0.01)
+
+    @pytest.mark.parametrize("kind", ["film", "cavity"])
+    @pytest.mark.parametrize("points", [300, 1200])
+    def test_matches_two_call_reference(self, kind, points):
+        cfg = default_config(
+            noise=NoiseModel(sigma_fast_uK=40.0, drift_uK_per_hr=-50.0, seed=11),
+            points_per_sweep=points,
+        )
+        rn = cfg.film.rn_ohm
+        for rep, field in enumerate((0.0, 2.0, 7.2, -9.0)):
+            trip = run_triplet(cfg, kind, field, 3600.0 * rep, rep)
+            est = drift_corrected_shift(trip, cfg.film.tc0_K, rn_ohm=rn)
+            delta_t, sigma = drift_corrected_shift_reference(trip, cfg.film.tc0_K, rn)
+            assert est.delta_t == delta_t and est.sigma_delta_t == sigma
+            assert est.n_levels == 50
+
+    def test_inverts_each_sweep_once(self, film, monkeypatch):
+        calls = []
+        original = analysis.invert_trace
+
+        def counting(trace, r_levels, rn_ohm):
+            calls.append(trace)
+            return original(trace, r_levels, rn_ohm)
+
+        monkeypatch.setattr(analysis, "invert_trace", counting)
+        cfg = default_config(noise=NoiseModel(sigma_fast_uK=20.0, seed=3), fields_mT=(7.2,))
+        trip = run_triplet(cfg, "film", 7.2, 0.0)
+        drift_corrected_shift(trip, film.tc0_K, rn_ohm=film.rn_ohm)
+        assert [id(c) for c in calls] == [id(trip.pre), id(trip.mid), id(trip.post)]
 
     def test_scatter_near_6uK(self, film):
         cfg = default_config(fields_mT=(7.2,), replications=50)

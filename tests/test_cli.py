@@ -429,6 +429,13 @@ def _swap_pre_post_times(manifest):
     return manifest
 
 
+def _duplicate_pre(manifest):
+    """A second pre entry for the first triplet, pointing at that triplet's post file."""
+    files = manifest["files"]
+    files.append({**files[0], "path": files[2]["path"]})
+    return manifest
+
+
 def _set_config(edit):
     def edit_manifest(manifest):
         edit(manifest["config"])
@@ -460,6 +467,7 @@ MUTATIONS = {
     "field_mT not a number": _manifest_edit(_set_entry(1, "field_mT", "7.2"), named_file=1),
     "path not a string": _manifest_edit(_set_entry(1, "path", 5)),
     "triplet out of chronological order": _manifest_edit(_swap_pre_post_times, named_file=0),
+    "duplicate sweep entry": _manifest_edit(_duplicate_pre, named_file=0),
     "manifest not an object": _manifest_edit(lambda m: [m]),
     "no files list": _manifest_edit(lambda m: {**m, "files": None}),
     "file entry not an object": _manifest_edit(lambda m: {**m, "files": m["files"] + [7]}),
@@ -496,10 +504,20 @@ class TestMalformedInput:
     def test_non_finite_message_names_line(self, runner, run_dir):
         victim = run_dir / read_manifest(run_dir)["files"][2]["path"]
         _edit_line(victim, 10, lambda row: row + "\n")  # loadtxt skips empty lines
-        _edit_line(victim, 30, _set_cell(0, "nan"))
-        result = runner.invoke(main, ["analyze", str(run_dir)])
-        assert result.exit_code == 3
-        assert f"{victim}: line 30: non-finite" in result.stderr
+        text = victim.read_text()
+        # a non-finite, a non-numeric, an extra and a missing cell on line 30;
+        # the reasons after the line are numpy's, apart from the first
+        for edit, reason in [
+            (_set_cell(0, "nan"), "non-finite tau_s"),
+            (_set_cell(1, "abc"), ""),
+            (lambda row: row + ",1.0", ""),
+            (lambda row: row.rsplit(",", 1)[0], ""),
+        ]:
+            victim.write_text(text)
+            _edit_line(victim, 30, edit)
+            result = runner.invoke(main, ["analyze", str(run_dir)])
+            assert result.exit_code == 3
+            assert f"{victim}: line 30: {reason}" in result.stderr
 
 
 # cell values for random damage to CSV files and the config snapshot
@@ -803,20 +821,23 @@ class TestReportCommand:
         assert result.exit_code == 3
         assert victim.name in result.stderr
 
-    @pytest.mark.parametrize("name, edit", [
+    # the last item is the text of the line the message must name, or None
+    @pytest.mark.parametrize("name, edit, bad_line", [
         ("shifts.csv", lambda text: re.sub(r"(?m)^(film01,film,(?:[^,]*,){4})[^,]*", r"\1abc",
-                                           text, count=1)),
-        ("fits.csv", lambda text: text.splitlines()[0] + "\n"),
+                                           text, count=1), "abc"),
+        ("fits.csv", lambda text: text.splitlines()[0] + "\n", None),
         ("shifts.csv", lambda text: "\n".join(
             ",".join(c for i, c in enumerate(line.split(",")) if i != 4)
-            for line in text.splitlines()) + "\n"),
+            for line in text.splitlines()) + "\n", None),
         ("shifts.csv", lambda text: "\n".join(
-            line for line in text.splitlines() if ",film," not in line) + "\n"),
-        ("shifts.csv", _ragged_row(blank_line=False)),
-        ("shifts.csv", _ragged_row(blank_line=True)),
+            line for line in text.splitlines() if ",film," not in line) + "\n", None),
+        ("shifts.csv", _ragged_row(blank_line=False), ",50,1"),
+        ("shifts.csv", _ragged_row(blank_line=True), ",50,1"),
     ], ids=["non-numeric shift_uK", "fits header only", "no delta_t column", "no film rows",
             "ragged row", "empty line and ragged row"])
-    def test_malformed_analysis_csv_exits_3_naming_file(self, runner, analyzed_run, name, edit):
+    def test_malformed_analysis_csv_exits_3_naming_file(
+        self, runner, analyzed_run, name, edit, bad_line
+    ):
         path = analyzed_run / "analysis" / name
         text = path.read_text()
         path.write_text(edit(text))
@@ -825,6 +846,10 @@ class TestReportCommand:
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
         assert name in result.stderr
+        if bad_line is not None:
+            lines = path.read_text().split("\n")
+            line = next(n for n, row in enumerate(lines, 1) if bad_line in row)
+            assert f"{name}: line {line}: " in result.stderr
 
     def test_empty_lines_skipped_in_every_table(self, runner, analyzed_run):
         run_ok(runner, ["report", str(analyzed_run)])
