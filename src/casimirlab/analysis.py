@@ -46,7 +46,6 @@ class ShiftEstimate:
     field_mT: float
     delta_t: float
     sigma_delta_t: float
-    n_levels: int
     sample_id: str
     kind: str = "film"
     replication: int = 0
@@ -54,8 +53,6 @@ class ShiftEstimate:
     def __post_init__(self):
         if self.sigma_delta_t < 0:
             raise ValueError("shift uncertainty must be non-negative")
-        if self.n_levels < 10:
-            raise ValueError("need at least 10 resistance levels")
 
     def shift_uK(self, tc0_K: float) -> float:
         return self.delta_t * tc0_K * 1e6
@@ -288,7 +285,6 @@ def drift_corrected_shift(triplet: TripletRecord, tc0_K: float, rn_ohm: float) -
         field_mT=triplet.field_mT,
         delta_t=0.5 * (before + after),
         sigma_delta_t=float(0.5 * np.hypot(sigma_before, sigma_after)),
-        n_levels=DEFAULT_N_LEVELS,
         sample_id=triplet.sample_id,
         kind=triplet.kind,
         replication=triplet.replication,
@@ -358,22 +354,27 @@ def fit_parabola(
     )
 
 
+def field_groups(field_mT) -> list:
+    """[(field, indices)] of each distinct value of field_mT, fields ascending."""
+    field_mT = np.asarray(field_mT)
+    # not np.unique, which imports numpy.ma (about 1.3 MB) on first use
+    return [(f, np.flatnonzero(field_mT == f)) for f in sorted(set(field_mT.tolist()))]
+
+
 def field_means(field_mT, y, sigma):
-    """Inverse-variance weighted mean of y per unique field, sorted by field.
+    """Inverse-variance weighted mean of y per distinct field, sorted by field.
 
     Returns (fields, means, variances); a field whose sigmas all vanish
     gets the plain mean and variance 0.
     """
-    field_mT, y, sigma = np.asarray(field_mT), np.asarray(y), np.asarray(sigma)
-    # not np.unique, which imports numpy.ma (about 1.3 MB) on first use
-    fields = np.array(sorted(set(field_mT.tolist())))
+    y, sigma = np.asarray(y), np.asarray(sigma)
+    groups = field_groups(field_mT)
     means, variances = [], []
-    for f in fields:
-        sel = field_mT == f
-        w = _weights(sigma[sel])
-        means.append(np.sum(w * y[sel]) / np.sum(w))
-        variances.append(1.0 / np.sum(w) if np.any(sigma[sel]) else 0.0)
-    return fields, np.array(means), np.array(variances)
+    for _, idx in groups:
+        w = _weights(sigma[idx])
+        means.append(np.sum(w * y[idx]) / np.sum(w))
+        variances.append(1.0 / np.sum(w) if np.any(sigma[idx]) else 0.0)
+    return np.array([f for f, _ in groups]), np.array(means), np.array(variances)
 
 
 def differential_signal(film_fit: FitResult, cavity_estimates, tc0_K: float) -> DifferentialSignal:

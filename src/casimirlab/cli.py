@@ -1,7 +1,7 @@
 """Command-line entry points: simulate, analyze, report, example-config.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.
+Exit codes: 0 success, 2 configuration error or unwritable output path,
+3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,26 +19,26 @@ from .pipeline import analyze_campaign
 from .report import write_analysis, write_report
 from .simulate import run_campaign
 
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERICAL = 4
+# error class -> (exit code, stderr prefix); an OSError is a path that cannot be written
+ERROR_EXITS = {ConfigError: (2, "config error"), DataError: (3, "data error"),
+              NumericalError: (4, "numerical failure"), OSError: (2, "file error")}
 
 
-def _run(body):
-    try:
-        body()
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except DataError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
-    except NumericalError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+class _ExitCodeGroup(click.Group):
+    """Maps the errors of every command to its exit code and a one-line message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(ERROR_EXITS) as exc:
+            if isinstance(exc, BrokenPipeError):  # a closed stdout; click exits 1
+                raise
+            code, prefix = next(v for cls, v in ERROR_EXITS.items() if isinstance(exc, cls))
+            click.echo(f"{prefix}: {exc}", err=True)
+            sys.exit(code)
 
 
-@click.group()
+@click.group(cls=_ExitCodeGroup)
 @click.version_option(__version__)
 def main():
     """Simulate and analyze differential critical-field campaigns."""
@@ -63,25 +63,21 @@ def cmd_example_config(out):
 @click.option("--quiet", is_flag=True, help="Suppress the campaign summary.")
 def cmd_simulate(config_path, out_dir, seed, quiet):
     """Generate a campaign dataset: one CSV per sweep plus a manifest."""
-
-    def body():
-        config = load_config(config_path)
-        if seed is not None:
-            config = dataclasses.replace(
-                config, noise=dataclasses.replace(config.noise, seed=seed)
-            )
-        triplets = run_campaign(config)
-        manifest_path = write_dataset(out_dir, config, triplets)
-        if not quiet:
-            scenario = "thermal" if config.thermal is not None else "shielded"
-            click.echo(
-                f"simulated {len(triplets)} triplets "
-                f"({len(config.fields_mT)} fields x {config.replications} replications "
-                f"x 2 samples, {scenario} scenario, seed {config.noise.seed})"
-            )
-            click.echo(f"manifest: {manifest_path}")
-
-    _run(body)
+    config = load_config(config_path)
+    if seed is not None:
+        config = dataclasses.replace(
+            config, noise=dataclasses.replace(config.noise, seed=seed)
+        )
+    triplets = run_campaign(config)
+    manifest_path = write_dataset(out_dir, config, triplets)
+    if not quiet:
+        scenario = "thermal" if config.thermal is not None else "shielded"
+        click.echo(
+            f"simulated {len(triplets)} triplets "
+            f"({len(config.fields_mT)} fields x {config.replications} replications "
+            f"x 2 samples, {scenario} scenario, seed {config.noise.seed})"
+        )
+        click.echo(f"manifest: {manifest_path}")
 
 
 @main.command("analyze")
@@ -96,21 +92,17 @@ def cmd_simulate(config_path, out_dir, seed, quiet):
 @click.option("--quiet", is_flag=True, help="Suppress the summary echo.")
 def cmd_analyze(run_dir, out_dir, fit_threshold, include_linear, quiet):
     """Run the estimation pipeline on a simulated dataset."""
-
-    def body():
-        config, triplets = load_dataset(run_dir)
-        result = analyze_campaign(
-            triplets,
-            rn_ohm=config.film.rn_ohm,
-            fit_threshold_mT=fit_threshold,
-            include_linear=include_linear,
-        )
-        out = write_analysis(run_dir, result, out_dir)
-        if not quiet:
-            click.echo((out / "summary.txt").read_text().rstrip())
-            click.echo(f"analysis written to {out}")
-
-    _run(body)
+    config, triplets = load_dataset(run_dir)
+    result = analyze_campaign(
+        triplets,
+        rn_ohm=config.film.rn_ohm,
+        fit_threshold_mT=fit_threshold,
+        include_linear=include_linear,
+    )
+    out = write_analysis(run_dir, result, out_dir)
+    if not quiet:
+        click.echo((out / "summary.txt").read_text().rstrip())
+        click.echo(f"analysis written to {out}")
 
 
 @main.command("report")
@@ -120,14 +112,10 @@ def cmd_analyze(run_dir, out_dir, fit_threshold, include_linear, quiet):
 @click.option("--quiet", is_flag=True, help="Suppress the file listing.")
 def cmd_report(run_dir, out_dir, quiet):
     """Emit plot-ready CSVs from a run's analysis outputs."""
-
-    def body():
-        out = write_report(run_dir, out_dir)
-        if not quiet:
-            for path in sorted(out.glob("*.csv")):
-                click.echo(f"wrote {path}")
-
-    _run(body)
+    out = write_report(run_dir, out_dir)
+    if not quiet:
+        for path in sorted(out.glob("*.csv")):
+            click.echo(f"wrote {path}")
 
 
 if __name__ == "__main__":

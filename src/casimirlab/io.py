@@ -176,7 +176,7 @@ def read_manifest(run_dir) -> dict:
         raise DataError(f"no {MANIFEST_NAME} found in {run_dir}")
     try:
         manifest = json.loads(path.read_text())
-    except ValueError as exc:  # not JSON, or not text
+    except (OSError, ValueError) as exc:  # unreadable, not JSON, or not text
         raise DataError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError(f"{path}: not a JSON object")

@@ -8,18 +8,18 @@ high-field points and evaluates the film-cavity differential signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import (
     DifferentialSignal,
     FitResult,
-    ShiftEstimate,
     differential_signal,
     drift_corrected_shift,
     estimate_sensitivity,
     extract_tc0,
+    field_groups,
     fit_parabola,
 )
 from .errors import InsufficientData
@@ -41,13 +41,9 @@ class AnalysisResult:
     film_fit: FitResult
     differential: DifferentialSignal
     sensitivity_uK: float | None
-    field_threshold_mT: float
 
     def film_estimates(self):
         return [e for e in self.estimates if e.kind == "film"]
-
-    def cavity_estimates(self):
-        return [e for e in self.estimates if e.kind == "cavity"]
 
 
 def sample_tc0(triplets, sample_id: str, rn_ohm: float) -> float:
@@ -77,17 +73,12 @@ def sample_tc0(triplets, sample_id: str, rn_ohm: float) -> float:
 
 
 def campaign_sensitivity(estimates, tc0_K: float):
-    """Sensitivity from the most-replicated nonzero field, or None."""
-    by_field = {}
-    for e in estimates:
-        if e.field_mT != 0:
-            by_field.setdefault(e.field_mT, []).append(e)
-    if not by_field:
-        return None
-    best = max(by_field.values(), key=len)
+    """Sensitivity from the most-replicated nonzero field (the lowest on a tie), or None."""
+    groups = [idx for f, idx in field_groups([e.field_mT for e in estimates]) if f != 0]
+    best = max(groups, key=len, default=())
     if len(best) < 3:
         return None
-    return estimate_sensitivity(best, tc0_K)
+    return estimate_sensitivity([estimates[i] for i in best], tc0_K)
 
 
 def auto_field_threshold(estimates, tc0_K: float, sensitivity_uK: float) -> float:
@@ -110,7 +101,12 @@ def analyze_campaign(
     fit_threshold_mT: float | None = None,
     include_linear: bool = False,
 ) -> AnalysisResult:
-    """Run the full estimation pipeline on a campaign's triplets."""
+    """Run the full estimation pipeline on a campaign's triplets.
+
+    The triplets are taken in (sample, field, replication) order, the order
+    `load_dataset` returns, so the result does not depend on their order.
+    """
+    triplets = sorted(triplets, key=lambda t: (t.sample_id, t.field_mT, t.replication))
     sample_ids = sorted({t.sample_id for t in triplets})
     tc0 = {sid: sample_tc0(triplets, sid, rn_ohm) for sid in sample_ids}
 
@@ -136,5 +132,4 @@ def analyze_campaign(
         film_fit=film_fit,
         differential=diff,
         sensitivity_uK=sensitivity,
-        field_threshold_mT=fit_threshold_mT,
     )

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .analysis import field_means
+from .analysis import DEFAULT_N_LEVELS, field_means
 from .io import read_csv, read_manifest, read_triplet, sweep_groups, write_csv
 from .pipeline import AnalysisResult
 
@@ -64,7 +64,7 @@ def write_analysis(run_dir, result: AnalysisResult, out_dir=None) -> Path:
             e.sigma_delta_t,
             e.shift_uK(result.tc0_K[e.sample_id]),
             e.sigma_uK(result.tc0_K[e.sample_id]),
-            e.n_levels,
+            DEFAULT_N_LEVELS,
         )
         for e in result.estimates
     ]

@@ -108,6 +108,10 @@ class TripletRecord:
         back = self.post.t_start_s - self.mid.t_start_s
         if abs(fwd - back) > 1.0:
             raise ValueError("triplet spacing must be symmetric to within 1 s")
+        if self.pre.field_mT != 0 or self.post.field_mT != 0:
+            raise ValueError("pre and post sweeps must be at zero field")
+        if len({(s.sample_id, s.kind) for s in (self.pre, self.mid, self.post)}) > 1:
+            raise ValueError("triplet sweeps must share one sample_id and kind")
 
     @property
     def kind(self) -> str:
@@ -151,6 +155,8 @@ class CampaignConfig:
             raise ValueError("field inhomogeneity must be non-negative")
         if self.settle_s < 0:
             raise ValueError("settle time must be non-negative")
+        if self.cavity.film != self.film:
+            raise ValueError("the cavity's film must be the campaign film")
 
     @property
     def enhancement(self) -> float:

@@ -55,7 +55,7 @@ def one_sided_shift(zero, field, tc0_K, rn_ohm):
     levels = default_levels(rn_ohm)
     t_zero, t_field = (invert_trace(s, levels, rn_ohm) for s in (zero, field))
     delta_t, sigma = estimate_shift(t_zero, t_field, tc0_K)
-    return ShiftEstimate(field.field_mT, delta_t, sigma, len(levels), field.sample_id, field.kind)
+    return ShiftEstimate(field.field_mT, delta_t, sigma, field.sample_id, field.kind)
 
 
 def logistic_trace(tc_K, width_mK, rn_ohm, t_grid, field_mT=0.0, sample_id="s"):

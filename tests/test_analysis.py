@@ -59,7 +59,7 @@ def one_sided_shift(zero, field, tc0_K, rn_ohm, levels=None):
     levels = default_levels(rn_ohm) if levels is None else levels
     t_zero, t_field = (invert_trace(s, levels, rn_ohm) for s in (zero, field))
     delta_t, sigma = estimate_shift(t_zero, t_field, tc0_K)
-    return ShiftEstimate(field.field_mT, delta_t, sigma, len(levels), field.sample_id, field.kind)
+    return ShiftEstimate(field.field_mT, delta_t, sigma, field.sample_id, field.kind)
 
 
 def drift_corrected_shift_reference(triplet, tc0_K, rn_ohm):
@@ -403,7 +403,6 @@ class TestDriftCorrection:
             est = drift_corrected_shift(trip, cfg.film.tc0_K, rn_ohm=rn)
             delta_t, sigma = drift_corrected_shift_reference(trip, cfg.film.tc0_K, rn)
             assert est.delta_t == delta_t and est.sigma_delta_t == sigma
-            assert est.n_levels == 50
 
     def test_inverts_each_sweep_once(self, film, monkeypatch):
         calls = []
@@ -438,7 +437,7 @@ class TestFitParabola:
             dt += math.sin(tilt) / film.h0_mT * h
             dt += rng.normal(0, sigma)
             out.append(
-                ShiftEstimate(h, dt, sigma, 50, "film01", "film")
+                ShiftEstimate(h, dt, sigma, "film01", "film")
             )
         return out
 
@@ -528,7 +527,7 @@ class TestDifferentialAndSensitivity:
         assert d.significance > 2.0
 
     def test_sensitivity_identical_repeats(self, film):
-        e = ShiftEstimate(7.2, 5e-5, 1e-6, 50, "film01")
+        e = ShiftEstimate(7.2, 5e-5, 1e-6, "film01")
         assert estimate_sensitivity([e, e, e], film.tc0_K) == 0.0
 
     def test_sensitivity_known_scatter(self, film):
@@ -536,7 +535,7 @@ class TestDifferentialAndSensitivity:
         s_true = 6.0  # uK
         n = 40
         reps = [
-            ShiftEstimate(7.2, 5e-5 + rng.normal(0, s_true * 1e-6 / film.tc0_K), 1e-6, 50, "f")
+            ShiftEstimate(7.2, 5e-5 + rng.normal(0, s_true * 1e-6 / film.tc0_K), 1e-6, "f")
             for _ in range(n)
         ]
         est = estimate_sensitivity(reps, film.tc0_K)
@@ -549,13 +548,13 @@ class TestDifferentialAndSensitivity:
         assert lo < est < hi
 
     def test_sensitivity_needs_repeats(self, film):
-        e = ShiftEstimate(7.2, 5e-5, 1e-6, 50, "f")
+        e = ShiftEstimate(7.2, 5e-5, 1e-6, "f")
         with pytest.raises(InsufficientData):
             estimate_sensitivity([e, e], film.tc0_K)
 
     def test_differential_needs_data(self, film):
         fit = fit_parabola(
-            [ShiftEstimate(h, 1e-6 * h * h, 0.0, 50, "f") for h in (6.0, 8.0, 10.0)], 0.0
+            [ShiftEstimate(h, 1e-6 * h * h, 0.0, "f") for h in (6.0, 8.0, 10.0)], 0.0
         )
         with pytest.raises(InsufficientData):
             differential_signal(fit, [], film.tc0_K)

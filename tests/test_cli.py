@@ -13,6 +13,8 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from casimirlab import analyze_campaign, run_campaign
+from casimirlab import cli as cli_module
 from casimirlab import config as config_module
 from casimirlab.cli import main
 from casimirlab.config import (
@@ -448,6 +450,12 @@ def _manifest_not_text(run_dir):
     return "manifest.json"
 
 
+def _manifest_a_directory(run_dir):
+    (run_dir / "manifest.json").unlink()
+    (run_dir / "manifest.json").mkdir()
+    return "manifest.json"
+
+
 # each mutation damages one sweep file or the manifest and returns the name of
 # the file the error must name
 MUTATIONS = {
@@ -468,6 +476,8 @@ MUTATIONS = {
     "path not a string": _manifest_edit(_set_entry(1, "path", 5)),
     "triplet out of chronological order": _manifest_edit(_swap_pre_post_times, named_file=0),
     "duplicate sweep entry": _manifest_edit(_duplicate_pre, named_file=0),
+    "pre sweep in field": _manifest_edit(_set_entry(0, "applied_field_mT", 7.2), named_file=0),
+    "pre sweep of other kind": _manifest_edit(_set_entry(0, "kind", "cavity"), named_file=0),
     "manifest not an object": _manifest_edit(lambda m: [m]),
     "no files list": _manifest_edit(lambda m: {**m, "files": None}),
     "file entry not an object": _manifest_edit(lambda m: {**m, "files": m["files"] + [7]}),
@@ -484,6 +494,7 @@ MUTATIONS = {
     "snapshot NaN value": _manifest_edit(
         _set_config(lambda c: c["campaign"].update(homogeneity=float("nan")))),
     "manifest not text": _manifest_not_text,
+    "manifest a directory": _manifest_a_directory,
 }
 
 
@@ -680,6 +691,8 @@ class TestAnalyzeCommand:
         shifts = (analysis / "shifts.csv").read_text().splitlines()
         assert shifts[0].startswith("sample_id,kind,field_mT")
         assert len(shifts) == 1 + 2 * 5 * 3  # header + samples*fields*reps
+        table = read_csv(analysis / "shifts.csv", SHIFTS_COLUMNS, ("sample_id", "kind"))
+        assert np.all(table["n_levels"] == 50)
 
     def test_zero_field_shifts_near_zero(self, runner, tmp_path):
         cfg = tmp_path / "c.ini"
@@ -706,6 +719,82 @@ class TestAnalyzeCommand:
         fit_row = (run_dir / "analysis" / "fits.csv").read_text().splitlines()[1].split(",")
         assert float(fit_row[8]) == 6.0
         assert fit_row[9] == "1"
+
+    def test_rank_deficient_fit_exits_4(self, runner, tmp_path):
+        # above 10 mT only one field is left: H^2 and H are collinear
+        out = simulate_run(runner, tmp_path, EXAMPLE_CONFIG)
+        result = runner.invoke(
+            main, ["analyze", str(out), "--fit-threshold-mT", "10", "--include-linear"])
+        assert result.exit_code == 4
+        assert "numerical failure: design matrix is rank deficient" in result.stderr
+
+    def test_film_only_manifest_exits_3(self, runner, run_dir):
+        manifest = read_manifest(run_dir)
+        manifest["files"] = [e for e in manifest["files"] if e["kind"] == "film"]
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        result = runner.invoke(main, ["analyze", str(run_dir)])
+        assert result.exit_code == 3
+        assert "must contain both film and cavity triplets" in result.stderr
+
+    def test_single_field_campaign_exits_3(self, runner, tmp_path):
+        out = simulate_run(runner, tmp_path, SMALL_CONFIG.replace("replications = 1",
+                                                                  "replications = 3"))
+        result = runner.invoke(main, ["analyze", str(out)])
+        assert result.exit_code == 3
+        assert "needs >= 2 distinct fields" in result.stderr
+
+
+class TestExitCodeBoundary:
+    """Every command maps its errors to one exit code, without a traceback."""
+
+    def test_example_config_command(self, runner, tmp_path):
+        path = tmp_path / "e.ini"
+        result = run_ok(runner, ["example-config", "--out", str(path)])
+        assert result.output == f"wrote {path}\n"
+        assert path.read_text() == EXAMPLE_CONFIG
+
+    def test_unwritable_output_paths_exit_2(self, runner, tmp_path, small_config):
+        run_dir = simulate_run(runner, tmp_path, SMALL_CONFIG.replace("replications = 1",
+                                                                      "replications = 3")
+                               .replace("fields_mT = 7.2", "fields_mT = 2 5 7.2 9 10"))
+        run_ok(runner, ["analyze", str(run_dir), "--quiet"])
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        for args, path in [
+            (["example-config", "--out"], tmp_path / "missing" / "x.ini"),
+            (["simulate", "--config", str(small_config), "--out"], afile / "sub"),
+            (["analyze", str(run_dir), "--out"], afile / "x"),
+            (["report", str(run_dir), "--out"], afile / "y"),
+        ]:
+            result = runner.invoke(main, [*args, str(path)])
+            assert result.exit_code == 2, (args, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert result.stderr.startswith("file error: ") and str(path) in result.stderr
+
+
+class TestOrderIndependence:
+    """The analysis does not depend on the order in which fields are listed."""
+
+    @pytest.mark.parametrize("fields", [
+        "10 9 8 7.2 6 5 4 3 2 1.5 1 0.5",
+        "0.5 1 1.5 2 3 4 5 6 -7.2 8 9 10",
+    ])
+    def test_cli_equals_library_bit_for_bit(self, runner, tmp_path, monkeypatch, fields):
+        config_text = re.sub(r"(?m)^fields_mT = .*$", f"fields_mT = {fields}", EXAMPLE_CONFIG)
+        written = []
+        write_analysis = cli_module.write_analysis
+        monkeypatch.setattr(cli_module, "write_analysis", lambda run_dir, result, out_dir: (
+            written.append(result), write_analysis(run_dir, result, out_dir))[1])
+        out = simulate_run(runner, tmp_path, config_text)
+        run_ok(runner, ["analyze", str(out), "--quiet"])
+        config = load_config(tmp_path / "run.ini")
+        cli, lib = written[0], analyze_campaign(run_campaign(config), rn_ohm=config.film.rn_ohm)
+        assert cli.sensitivity_uK == lib.sensitivity_uK
+        assert cli.film_fit.field_threshold_mT == lib.film_fit.field_threshold_mT
+        assert (cli.film_fit.a, cli.film_fit.b) == (lib.film_fit.a, lib.film_fit.b)
+        shifts = [{(e.sample_id, e.field_mT, e.replication): (e.delta_t, e.sigma_delta_t)
+                   for e in r.estimates} for r in (cli, lib)]
+        assert shifts[0] == shifts[1]
 
 
 def _ragged_row(blank_line):

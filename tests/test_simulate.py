@@ -8,6 +8,7 @@ import pytest
 from casimirlab import (
     CavityParams,
     NoiseModel,
+    TripletRecord,
     delta_t_of_field,
     generate_sweep,
     run_campaign,
@@ -113,6 +114,17 @@ class TestRunTriplet:
         assert trip.mid.field_mT == pytest.approx(7.2 * (1 + 1e-4), rel=1e-12)
         assert trip.field_mT == 7.2
 
+    @pytest.mark.parametrize("swap", [
+        {"field_mT": 7.2}, {"kind": "cavity"}, {"sample_id": "cav01"},
+    ])
+    @pytest.mark.parametrize("position", ["pre", "post"])
+    def test_rejects_inconsistent_zero_field_sweep(self, noiseless_config, position, swap):
+        trip = run_triplet(noiseless_config, "film", 7.2, 0.0)
+        sweeps = dict(trip.sweeps())
+        sweeps[position] = dataclasses.replace(sweeps[position], **swap)
+        with pytest.raises(ValueError, match="zero field|one sample_id and kind"):
+            TripletRecord(**sweeps, field_mT=7.2)
+
 
 class TestRunCampaign:
     def test_counts_and_kinds(self, quiet_noise):
@@ -144,6 +156,13 @@ class TestRunCampaign:
             for (_, ta), (_, tb) in zip(a.sweeps(), b.sweeps()):
                 assert np.array_equal(ta.t_meas_K, tb.t_meas_K)
                 assert np.array_equal(ta.r_meas_ohm, tb.r_meas_ohm)
+
+    def test_cavity_film_must_be_campaign_film(self, film):
+        # the manifest snapshot stores one film, which the cavity sweeps would
+        # be re-simulated from
+        other = CavityParams(film=dataclasses.replace(film, tc0_K=1.6))
+        with pytest.raises(ValueError, match="campaign film"):
+            default_config(film=film, cavity=other)
 
     def test_homogeneity_effect_is_tiny(self, quiet_noise, film):
         # 1e-4 relative field error at 7.2 mT moves delta_t*Tc0 by well
