@@ -57,7 +57,7 @@ def cmd_example_config(out):
 @click.option("--config", "config_path", type=click.Path(exists=False), required=True,
               help="Campaign configuration file.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True,
-              help="Output directory for the dataset.")
+              help="Run directory to create; one that holds sweeps/ is refused.")
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
               help="Override the master seed.")
 @click.option("--quiet", is_flag=True, help="Suppress the campaign summary.")
@@ -82,16 +82,14 @@ def cmd_simulate(config_path, out_dir, seed, quiet):
 
 @main.command("analyze")
 @click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
-              help="Output directory [default: RUN_DIR/analysis].")
 @click.option("--fit-threshold-mT", "fit_threshold", type=float, default=None,
               help="High-field threshold for the parabola fit "
                    "[default: auto from sensitivity].")
 @click.option("--include-linear", is_flag=True,
               help="Add a linear (tilt) term to the parabola fit.")
 @click.option("--quiet", is_flag=True, help="Suppress the summary echo.")
-def cmd_analyze(run_dir, out_dir, fit_threshold, include_linear, quiet):
-    """Run the estimation pipeline on a simulated dataset."""
+def cmd_analyze(run_dir, fit_threshold, include_linear, quiet):
+    """Run the estimation pipeline on a simulated dataset; writes RUN_DIR/analysis."""
     config, triplets = load_dataset(run_dir)
     result = analyze_campaign(
         triplets,
@@ -99,7 +97,7 @@ def cmd_analyze(run_dir, out_dir, fit_threshold, include_linear, quiet):
         fit_threshold_mT=fit_threshold,
         include_linear=include_linear,
     )
-    out = write_analysis(run_dir, result, out_dir)
+    out = write_analysis(run_dir, result)
     if not quiet:
         click.echo((out / "summary.txt").read_text().rstrip())
         click.echo(f"analysis written to {out}")
@@ -107,12 +105,10 @@ def cmd_analyze(run_dir, out_dir, fit_threshold, include_linear, quiet):
 
 @main.command("report")
 @click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
-              help="Output directory [default: RUN_DIR/report].")
 @click.option("--quiet", is_flag=True, help="Suppress the file listing.")
-def cmd_report(run_dir, out_dir, quiet):
-    """Emit plot-ready CSVs from a run's analysis outputs."""
-    out = write_report(run_dir, out_dir)
+def cmd_report(run_dir, quiet):
+    """Emit plot-ready CSVs from a run's analysis outputs into RUN_DIR/report."""
+    out = write_report(run_dir)
     if not quiet:
         for path in sorted(out.glob("*.csv")):
             click.echo(f"wrote {path}")

@@ -7,12 +7,12 @@ config all derive from them, so a new defaulted parameter needs no edit
 here. Each default lives in one place: the record's dataclass default,
 `default_film` or a DEFAULT_* constant below.
 
-The default film parameters are calibrated, not measured: thickness and
-gap come from the AFM values (14 nm and 6 nm); Tc0 = 1.5 K, H0 = 10 mT and
-lambda0 = 280 nm are chosen so that the forward model gives an 80 uK shift
-at mu0*H = 7.2 mT. The default fast-noise sigma is calibrated by Monte
-Carlo so that repeated drift-corrected triplet estimates scatter by about
-6 uK.
+The default film parameters are calibrated, not measured: the thickness is
+the AFM value (14 nm); Tc0 = 1.5 K, H0 = 10 mT and lambda0 = 280 nm are
+chosen so that the forward model gives an 80 uK shift at mu0*H = 7.2 mT.
+The default fast-noise sigma is calibrated by Monte Carlo so that repeated
+drift-corrected triplet estimates scatter by about 6 uK. The 6 nm AFM
+cavity gap is not a key: the simulated shift does not depend on it.
 """
 
 from __future__ import annotations
@@ -41,16 +41,13 @@ SECTIONS = {"film": FilmParams, "cavity": CavityParams, "noise": NoiseModel,
 OPTIONAL_SECTIONS = {"thermal"}
 
 # A key is required when its field has no default, and also for these
-# fields: every config file states the cavity's gap and shift curve and the
-# noise budget, rather than inheriting them.
-STATED_KEYS = {
-    "gap_nm", "shift_max_uK", "h_rise_mT", "h_merge_mT",
-    "sigma_fast_uK", "drift_uK_per_hr", "seed",
-}
+# fields: every config file states the cavity's shift curve and the noise
+# budget, rather than inheriting them.
+STATED_KEYS = {"shift_max_uK", "h_rise_mT", "h_merge_mT", "sigma_fast_uK", "drift_uK_per_hr", "seed"}
 
 # provenance of the example values, printed beside them
 EXAMPLE_NOTES = {
-    **dict.fromkeys(("thickness_nm", "gap_nm"), "AFM value"),
+    "thickness_nm": "AFM value",
     **dict.fromkeys(("lambda0_nm", "h0_mT", "tc0_K"), "calibrated, not measured"),
     "sigma_fast_uK": "calibrated for ~6 uK per-triplet scatter",
 }
@@ -73,9 +70,15 @@ def default_config(**overrides) -> CampaignConfig:
     )
 
 
+def _not_bool(value):
+    if isinstance(value, bool):  # JSON true/false, which float() and int() accept
+        raise TypeError("a boolean is not a number")
+    return value
+
+
 def _finite(value) -> float:
     """A float from INI text or a JSON number; NaN and infinities are errors."""
-    number = float(value)
+    number = float(_not_bool(value))
     if not math.isfinite(number):
         raise ValueError("not a finite number")
     return number
@@ -92,8 +95,8 @@ def _parse_fields(value) -> tuple:
 
 
 # annotation -> converter of INI text or a JSON value (JSON 1.5 is no int)
-_CONVERT = {float: _finite, str: str, tuple: _parse_fields,
-            int: lambda v: int(v) if isinstance(v, str) else operator.index(v)}
+_CONVERT = {float: _finite, tuple: _parse_fields,
+            int: lambda v: int(v) if isinstance(v, str) else operator.index(_not_bool(v))}
 
 
 def _keys(record) -> list:

@@ -26,7 +26,7 @@ MANIFEST_NAME = "manifest.json"
 SWEEP_DIR = "sweeps"
 
 SWEEP_COLUMNS = ("tau_s", "T_meas_K", "R_meas_ohm")
-# key -> type of every sweep entry (role "sweep") in the manifest's "files" list
+# key -> type of every sweep entry (role "sweep") in the manifest's "files" list; no bool
 SWEEP_ENTRY_TYPES = {
     "path": str,
     "sample_id": str,
@@ -134,7 +134,7 @@ def write_dataset(out_dir, config: CampaignConfig, triplets) -> Path:
     """Write one CSV per sweep plus the run manifest; returns the manifest path."""
     out_dir = Path(out_dir)
     sweep_dir = out_dir / SWEEP_DIR
-    sweep_dir.mkdir(parents=True, exist_ok=True)
+    sweep_dir.mkdir(parents=True)  # an existing sweeps/ holds another run: refused
 
     files = []
     for trip in triplets:
@@ -202,7 +202,8 @@ def sweep_groups(run_dir, manifest: dict) -> list:
             raise DataError(f"{manifest_path}: files[{n}] is not an object")
         if entry.get("role") != "sweep":
             continue
-        bad = [k for k, want in SWEEP_ENTRY_TYPES.items() if not isinstance(entry.get(k), want)]
+        bad = [k for k, want in SWEEP_ENTRY_TYPES.items()
+               if not isinstance(entry.get(k), want) or isinstance(entry.get(k), bool)]
         if bad:
             raise DataError(
                 f"{manifest_path}: files[{n}] ({entry.get('path', 'no path')}) "

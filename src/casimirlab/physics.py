@@ -68,30 +68,17 @@ class FilmParams:
 class CavityParams:
     """A film embedded in a rigid cavity, plus the phenomenological shift curve.
 
-    gap_nm / gap_crossover_nm / gap_exponent parameterize the gap dependence
-    of the cavity free-energy variation. They are recorded in the config and
-    the manifest but enter only `cavity_energy_ratio`; the simulated shift
-    does not depend on them. shift_max_uK is the plateau value of the induced
-    critical-temperature displacement; h_rise_mT and h_merge_mT are the field
-    scales at which the shift turns on and at which the film and cavity
-    curves merge again. These three are all that `cavity_shift` reads.
+    shift_max_uK is the plateau value of the induced critical-temperature
+    displacement; h_rise_mT and h_merge_mT are the field scales at which the
+    shift turns on and at which the film and cavity curves merge again.
     """
 
     film: FilmParams
-    gap_nm: float = 6.0
-    gap_crossover_nm: float = 10.0
-    gap_exponent: float = 1.15
     shift_max_uK: float = 7.0
     h_rise_mT: float = 1.0
     h_merge_mT: float = 20.0
 
     def __post_init__(self):
-        if self.gap_nm <= 0:
-            raise ValueError("cavity gap must be positive")
-        if self.gap_crossover_nm <= 0:
-            raise ValueError("crossover gap must be positive")
-        if self.gap_exponent <= 0:
-            raise ValueError("gap exponent must be positive")
         if self.shift_max_uK < 0:
             raise ValueError("maximum shift must be non-negative")
         if not 0 < self.h_rise_mT < self.h_merge_mT:

@@ -48,11 +48,10 @@ FITS_COLUMNS = (
 DIFFERENTIAL_COLUMNS = ("field_mT", "gap_uK", "sigma_uK")
 
 
-def write_analysis(run_dir, result: AnalysisResult, out_dir=None) -> Path:
-    """Write the analysis products; returns the output directory."""
-    run_dir = Path(run_dir)
-    out = Path(out_dir) if out_dir is not None else run_dir / ANALYSIS_DIR
-    out.mkdir(parents=True, exist_ok=True)
+def write_analysis(run_dir, result: AnalysisResult) -> Path:
+    """Write the analysis products into <run>/analysis; returns that directory."""
+    out = Path(run_dir) / ANALYSIS_DIR
+    out.mkdir(exist_ok=True)
 
     rows = [
         (
@@ -112,15 +111,15 @@ def write_analysis(run_dir, result: AnalysisResult, out_dir=None) -> Path:
     return out
 
 
-def write_report(run_dir, out_dir=None) -> Path:
-    """Build the plot-ready CSVs from a run's analysis outputs."""
+def write_report(run_dir) -> Path:
+    """Build the plot-ready CSVs in <run>/report from the run's analysis outputs."""
     run_dir = Path(run_dir)
     analysis = run_dir / ANALYSIS_DIR
     for name in ("shifts.csv", "fits.csv"):
         if not (analysis / name).exists():
             raise DataError(f"missing analysis output {analysis / name}; run analyze first")
-    out = Path(out_dir) if out_dir is not None else run_dir / REPORT_DIR
-    out.mkdir(parents=True, exist_ok=True)
+    out = run_dir / REPORT_DIR
+    out.mkdir(exist_ok=True)
 
     shifts = read_csv(analysis / "shifts.csv", SHIFTS_COLUMNS, ("sample_id", "kind"))
     fits = read_csv(analysis / "fits.csv", FITS_COLUMNS, ("sample_id",))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,26 +38,20 @@ MIN_SWEEP_POINTS = 50
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Instrument noise: fast temperature noise, slow drift, optional R noise.
+    """Noise of the temperature read-out; the resistance is read noiselessly.
 
     sigma_fast_uK   : std of the per-reading temperature noise
     drift_uK_per_hr : linear drift of the temperature read-out, any sign
     seed            : 64-bit master seed; identical seeds give identical data
-    sigma_r_ohm     : optional resistance read noise (defaults to 0; the
-                      noise budget is quoted entirely in the temperature
-                      channel)
     """
 
     sigma_fast_uK: float = 0.0
     drift_uK_per_hr: float = 0.0
     seed: int = 0
-    sigma_r_ohm: float = 0.0
 
     def __post_init__(self):
         if self.sigma_fast_uK < 0:
             raise ValueError("fast noise sigma must be non-negative")
-        if self.sigma_r_ohm < 0:
-            raise ValueError("resistance noise sigma must be non-negative")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -127,7 +122,10 @@ class TripletRecord:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Everything needed to reproduce one simulated campaign."""
+    """Everything needed to reproduce one simulated campaign; sweeps run back to back."""
+
+    film_sample_id: ClassVar[str] = "film01"  # fixed sample ids, not config keys
+    cavity_sample_id: ClassVar[str] = "cav01"
 
     film: FilmParams
     cavity: CavityParams
@@ -138,9 +136,6 @@ class CampaignConfig:
     replications: int = 1
     thermal: ThermalEnvironment | None = None
     homogeneity: float = 1e-4
-    settle_s: float = 0.0
-    film_sample_id: str = "film01"
-    cavity_sample_id: str = "cav01"
 
     def __post_init__(self):
         if len(self.fields_mT) == 0:
@@ -153,8 +148,6 @@ class CampaignConfig:
             raise ValueError("need at least one replication")
         if self.homogeneity < 0:
             raise ValueError("field inhomogeneity must be non-negative")
-        if self.settle_s < 0:
-            raise ValueError("settle time must be non-negative")
         if self.cavity.film != self.film:
             raise ValueError("the cavity's film must be the campaign film")
 
@@ -164,10 +157,6 @@ class CampaignConfig:
         if self.thermal is None:
             return 1.0
         return thermal_enhancement(self.film.tc0_K, self.thermal)
-
-    @property
-    def sweep_spacing_s(self) -> float:
-        return self.sweep_duration_s + self.settle_s
 
 
 def sweep_rng(seed: int, sample_id: str, field_mT: float, t_start_s: float):
@@ -192,9 +181,8 @@ def generate_sweep(
 
     The true temperature ramps linearly across Tc(H) +- 5 transition widths;
     the measured temperature adds the drift offset and fast gaussian noise,
-    the resistance is read off the model sigmoid (noiselessly unless
-    sigma_r_ohm > 0). `params` is a FilmParams for kind="film" or a
-    CavityParams for kind="cavity".
+    the resistance is read noiselessly off the model sigmoid. `params` is a
+    FilmParams for kind="film" or a CavityParams for kind="cavity".
     """
     if n < MIN_SWEEP_POINTS:
         raise ConfigError(f"sweep needs >= {MIN_SWEEP_POINTS} points, got {n}")
@@ -221,9 +209,6 @@ def generate_sweep(
     drift_K = noise.drift_uK_per_hr * 1e-6 * (t_start_s + tau) / 3600.0
     t_meas = t_true + drift_K + rng.normal(0.0, noise.sigma_fast_uK * 1e-6, n)
     r_meas = resistance_curve(film, t_true, h_mT, cavity, enhancement)
-    if noise.sigma_r_ohm > 0:
-        r_meas = r_meas + rng.normal(0.0, noise.sigma_r_ohm, n)
-        r_meas = np.clip(r_meas, -0.05 * film.rn_ohm, 1.05 * film.rn_ohm)
 
     return SweepTrace(sample_id, kind, h_mT, t_start_s, tau, t_meas, r_meas)
 
@@ -247,7 +232,7 @@ def run_triplet(
     else:
         params, sample_id = config.film, config.film_sample_id
         h_applied = h_mT
-    spacing = config.sweep_spacing_s
+    spacing = config.sweep_duration_s
 
     def one(h, offset):
         return generate_sweep(
@@ -276,7 +261,7 @@ def campaign_schedule(config: CampaignConfig):
     slots advance monotonically along the campaign clock.
     """
     tasks = []
-    slot_len = 3.0 * config.sweep_spacing_s
+    slot_len = 3.0 * config.sweep_duration_s
     slot = 0
     for h in config.fields_mT:
         for rep in range(config.replications):

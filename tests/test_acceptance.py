@@ -139,7 +139,7 @@ def test_criterion_05_drift_cancellation():
     after = one_sided_shift(trip.post, trip.mid, tc0, rn_ohm=RN).shift_uK(tc0)
 
     # one-sided bias: -drift * spacing (pre leads the field sweep, post trails)
-    bias_uK = -cfg.noise.drift_uK_per_hr * cfg.sweep_spacing_s / 3600.0
+    bias_uK = -cfg.noise.drift_uK_per_hr * cfg.sweep_duration_s / 3600.0
     ok = (
         abs(corrected - true_uK) < 0.01
         and abs(before - (true_uK + bias_uK)) < 0.01
@@ -247,7 +247,6 @@ rn_ohm = 300
 width_mK = 1.0
 
 [cavity]
-gap_nm = 6
 shift_max_uK = 7.0
 h_rise_mT = 1.0
 h_merge_mT = 20.0

@@ -386,7 +386,7 @@ class TestDriftCorrection:
         trip = run_triplet(cfg, "film", 7.2, 0.0)
         before = one_sided_shift(trip.pre, trip.mid, film.tc0_K, rn_ohm=film.rn_ohm)
         after = one_sided_shift(trip.post, trip.mid, film.tc0_K, rn_ohm=film.rn_ohm)
-        bias = -drift * cfg.sweep_spacing_s / 3600.0  # uK, sign per sweep order
+        bias = -drift * cfg.sweep_duration_s / 3600.0  # uK, sign per sweep order
         assert before.shift_uK(film.tc0_K) == pytest.approx(81.0 + bias, abs=0.01)
         assert after.shift_uK(film.tc0_K) == pytest.approx(81.0 - bias, abs=0.01)
 

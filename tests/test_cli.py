@@ -50,7 +50,6 @@ rn_ohm = 300
 width_mK = 1.0
 
 [cavity]
-gap_nm = 6
 shift_max_uK = 7.0
 h_rise_mT = 1.0
 h_merge_mT = 20.0
@@ -73,7 +72,7 @@ THERMAL_EXAMPLE = re.sub(r"(?m)^# (\[thermal\]|t_env_K|x_eff)", r"\1", EXAMPLE_C
 # the keys a config file must set
 REQUIRED_KEYS = {
     "thickness_nm", "lambda0_nm", "h0_mT", "tc0_K", "rn_ohm", "width_mK",
-    "gap_nm", "shift_max_uK", "h_rise_mT", "h_merge_mT",
+    "shift_max_uK", "h_rise_mT", "h_merge_mT",
     "sigma_fast_uK", "drift_uK_per_hr", "seed", "fields_mT",
 }
 
@@ -134,7 +133,7 @@ class TestConfig:
         path = write_example_config(tmp_path / "example.ini")
         cfg = load_config(path)
         assert cfg.film.thickness_nm == 14.0
-        assert cfg.cavity.gap_nm == 6.0
+        assert cfg.cavity.shift_max_uK == 7.0
         assert cfg.noise.drift_uK_per_hr == -50.0
         assert cfg.thermal is None
         assert len(cfg.fields_mT) == 12
@@ -170,9 +169,12 @@ class TestConfig:
         assert load_config(path) == default_config(replications=3)
 
     @pytest.mark.parametrize("typo, bad", [
-        (("gap_exponent = ", "gap_exponet = "), "gap_exponet"),
+        (("homogeneity = ", "homogenity = "), "homogenity"),
         (("[campaign]", "[campaign]\nrepetitions = 3"), "repetitions"),
         (("# [thermal]\n# t_env_K = ", "[thermel]\nt_env_K = "), "[thermel]"),
+        # removed keys: a config written for an older version names them
+        (("[cavity]", "[cavity]\ngap_nm = 6"), "gap_nm"),
+        (("[campaign]", "[campaign]\nsettle_s = 0"), "settle_s"),
     ])
     def test_unknown_section_or_key_exits_2_naming_it(self, runner, tmp_path, typo, bad):
         path = tmp_path / "typo.ini"
@@ -491,6 +493,12 @@ MUTATIONS = {
         _set_config(lambda c: c["noise"].update(seed=1.5))),
     "snapshot unknown key": _manifest_edit(
         _set_config(lambda c: c["cavity"].update(gap_exponet=2.0))),
+    "snapshot holds a removed key": _manifest_edit(
+        _set_config(lambda c: c["noise"].update(sigma_r_ohm=0.0))),
+    "snapshot replications a boolean": _manifest_edit(
+        _set_config(lambda c: c["campaign"].update(replications=True))),
+    "snapshot seed a boolean": _manifest_edit(_set_config(lambda c: c["noise"].update(seed=False))),
+    "entry replication a boolean": _manifest_edit(_set_entry(1, "replication", False)),
     "snapshot NaN value": _manifest_edit(
         _set_config(lambda c: c["campaign"].update(homogeneity=float("nan")))),
     "manifest not text": _manifest_not_text,
@@ -757,19 +765,28 @@ class TestExitCodeBoundary:
         run_dir = simulate_run(runner, tmp_path, SMALL_CONFIG.replace("replications = 1",
                                                                       "replications = 3")
                                .replace("fields_mT = 7.2", "fields_mT = 2 5 7.2 9 10"))
+        unanalyzed = shutil.copytree(run_dir, tmp_path / "unanalyzed")
         run_ok(runner, ["analyze", str(run_dir), "--quiet"])
         afile = tmp_path / "afile"
-        afile.write_text("not a directory\n")
+        for path in (afile, unanalyzed / "analysis", run_dir / "report"):
+            path.write_text("not a directory\n")
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        missing = tmp_path / "missing" / "x.ini"
         for args, path in [
-            (["example-config", "--out"], tmp_path / "missing" / "x.ini"),
-            (["simulate", "--config", str(small_config), "--out"], afile / "sub"),
-            (["analyze", str(run_dir), "--out"], afile / "x"),
-            (["report", str(run_dir), "--out"], afile / "y"),
+            (["example-config", "--out", str(missing)], missing),
+            (["simulate", "--config", str(small_config), "--out", str(afile / "sub")],
+             afile / "sub"),
+            # a second run into one directory would mix two runs' files
+            (["simulate", "--config", str(small_config), "--out", str(run_dir)],
+             run_dir / "sweeps"),
+            (["analyze", str(unanalyzed)], unanalyzed / "analysis"),
+            (["report", str(run_dir)], run_dir / "report"),
         ]:
-            result = runner.invoke(main, [*args, str(path)])
+            result = runner.invoke(main, args)
             assert result.exit_code == 2, (args, result.output)
             assert isinstance(result.exception, SystemExit)
             assert result.stderr.startswith("file error: ") and str(path) in result.stderr
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
 
 class TestOrderIndependence:
@@ -783,8 +800,8 @@ class TestOrderIndependence:
         config_text = re.sub(r"(?m)^fields_mT = .*$", f"fields_mT = {fields}", EXAMPLE_CONFIG)
         written = []
         write_analysis = cli_module.write_analysis
-        monkeypatch.setattr(cli_module, "write_analysis", lambda run_dir, result, out_dir: (
-            written.append(result), write_analysis(run_dir, result, out_dir))[1])
+        monkeypatch.setattr(cli_module, "write_analysis", lambda run_dir, result: (
+            written.append(result), write_analysis(run_dir, result))[1])
         out = simulate_run(runner, tmp_path, config_text)
         run_ok(runner, ["analyze", str(out), "--quiet"])
         config = load_config(tmp_path / "run.ini")
