@@ -239,12 +239,22 @@ def _monotone_knots(trace: SweepTrace, rn_ohm: float):
 def invert_trace(trace: SweepTrace, r_levels, rn_ohm: float) -> np.ndarray:
     """T(R) at the given resistance levels, by monotone inversion.
 
-    Levels must lie inside the (0.2, 0.8)*RN averaging window.
+    Levels must lie inside the (0.2, 0.8)*RN averaging window, and the
+    monotone knots must reach the lowest and the highest level: a sweep
+    that stops short of them raises IncompleteTransition instead of
+    reading a clamped end knot.
     """
     levels = np.asarray(r_levels, dtype=float)
     if np.any(levels <= WINDOW_LO * rn_ohm) or np.any(levels >= WINDOW_HI * rn_ohm):
         raise ValueError("resistance levels must lie inside the (0.2, 0.8)*RN window")
     knot_r, knot_t = _monotone_knots(trace, rn_ohm)
+    if knot_r[0] > levels.min() or knot_r[-1] < levels.max():
+        raise IncompleteTransition(
+            f"{trace.kind} sweep {trace.sample_id} at {trace.field_mT} mT starting at "
+            f"{trace.t_start_s} s does not span the resistance levels: its monotone R covers "
+            f"{knot_r[0]:.6g} to {knot_r[-1]:.6g} ohm, the levels {levels.min():.6g} to "
+            f"{levels.max():.6g} ohm"
+        )
     return np.interp(levels, knot_r, knot_t)
 
 

@@ -62,7 +62,7 @@ def cmd_example_config(out):
               help="Override the master seed.")
 @click.option("--quiet", is_flag=True, help="Suppress the campaign summary.")
 def cmd_simulate(config_path, out_dir, seed, quiet):
-    """Generate a campaign dataset: one CSV per sweep plus a manifest."""
+    """Generate a campaign dataset: one .npy array per sweep plus a manifest."""
     config = load_config(config_path)
     if seed is not None:
         config = dataclasses.replace(

@@ -1,10 +1,12 @@
-"""On-disk formats: sweep CSVs, the run manifest and the analysis/report files.
+"""On-disk formats: the sweep arrays, the run manifest and the analysis/report tables.
 
-Every CSV is written by `_write_table` and read by `_read_table`: a header
-row with a fixed column order, then one row per line, numbers with 17
-significant digits so that they round-trip exactly. All metadata needed to
-regroup sweeps into triplets lives in the manifest, not in filenames (the
-filenames merely encode it readably).
+Each sweep is one .npy file, a float64 (n, 3) array of SWEEP_COLUMNS, so
+it round-trips exactly. Every table under analysis/ and report/ is a CSV
+written by `write_csv` and read by `read_csv`: a header row with a fixed
+column order, then one row per line, numbers with 17 significant digits so
+that they round-trip exactly. All metadata needed to regroup sweeps into
+triplets lives in the manifest, not in filenames (the filenames merely
+encode it readably).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ SWEEP_ENTRY_TYPES = {
 
 
 def sweep_filename(trace: SweepTrace, field_mT: float, replication: int, position: str) -> str:
-    """<sample>_<kind>_<sign><field uT>uT_rep<NNN>_<pos>.csv
+    """<sample>_<kind>_<sign><field uT>uT_rep<NNN>_<pos>.npy
 
     The field is the triplet's nominal field in uT (rounded, sign encoded
     as p/m), so the zero-field pre/post sweeps of different triplets get
@@ -50,17 +52,54 @@ def sweep_filename(trace: SweepTrace, field_mT: float, replication: int, positio
     sign = "m" if ut < 0 else "p"
     return (
         f"{trace.sample_id}_{trace.kind}_{sign}{abs(ut):07d}uT_"
-        f"rep{replication:03d}_{position}.csv"
+        f"rep{replication:03d}_{position}.npy"
     )
 
 
-def _write_table(path, columns, rows) -> None:
-    """Write the header row and the rows; one %-format renders the whole body.
+def write_sweep_csv(path, trace: SweepTrace) -> None:
+    """Write one sweep as .npy: a float64 (n, 3) array of tau_s, T_meas_K, R_meas_ohm.
 
-    rows is a 2-D float array or an iterable of row tuples. A column whose
-    first cell is a str is written as it is, every other cell with %.17g.
+    The name predates the format. np.save appends ".npy" to a path that
+    lacks it.
     """
-    cells = rows.ravel().tolist() if isinstance(rows, np.ndarray) else [*chain.from_iterable(rows)]
+    np.save(path, np.column_stack((trace.tau_s, trace.t_meas_K, trace.r_meas_ohm)))
+
+
+def read_sweep_csv(path, sample_id: str, kind: str, field_mT: float, t_start_s: float) -> SweepTrace:
+    """Load one `write_sweep_csv` file; any malformed content is a DataError naming it.
+
+    The file must hold a float64 (n, 3) array, n >= 50, of finite numbers
+    with strictly increasing times. It is read as np.load(allow_pickle=False)
+    reads a .npy file, without np.load's zip and pickle branches.
+    """
+    try:
+        with open(path, "rb") as f:
+            data = np.lib.format.read_array(f, allow_pickle=False)
+    # ValueError: bad magic or header, truncated data, an object array;
+    # MemoryError: a header claiming more elements than can be allocated
+    except (OSError, ValueError, MemoryError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if data.dtype != np.float64 or data.ndim != 2 or data.shape[1] != len(SWEEP_COLUMNS):
+        raise DataError(f"{path}: holds a {data.dtype} array of shape {data.shape}, "
+                        f"expected float64 (n, {len(SWEEP_COLUMNS)}): {', '.join(SWEEP_COLUMNS)}")
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, column = np.argwhere(~finite)[0]
+        raise DataError(f"{path}: row {row}: non-finite {SWEEP_COLUMNS[column]}")
+    try:
+        return SweepTrace(sample_id, kind, field_mT, t_start_s, *data.T)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a table: a header row, text cells as they are, numbers with %.17g.
+
+    rows is an iterable of row tuples; one %-format renders the whole body.
+    A column whose first cell is a str is written as it is, every other
+    cell with %.17g.
+    """
+    cells = [*chain.from_iterable(rows)]
     first = cells[:len(columns)]
     line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
     body = (line * (len(cells) // len(columns))) % tuple(cells)
@@ -72,11 +111,11 @@ def _data_lines(body) -> list:
     return [(n, line) for n, line in enumerate(body.split("\n"), 2) if line]
 
 
-def _read_table(path, columns, text_columns=()) -> dict:
-    """Parse a table written by `_write_table` as {column: array}.
+def read_csv(path, columns, text_columns=()) -> dict:
+    """{column: array} of a `write_csv` table; text_columns stay str, the rest finite floats.
 
-    Columns in text_columns stay str, the rest must be finite floats; empty
-    lines are skipped. Malformed content is a DataError naming the file (and line).
+    Empty lines are skipped. Malformed content is a DataError naming the
+    file (and line).
     """
     try:
         header, _, body = Path(path).read_text().partition("\n")
@@ -105,33 +144,8 @@ def _read_table(path, columns, text_columns=()) -> dict:
     return {name: data[name] for name in columns}
 
 
-def write_sweep_csv(path, trace: SweepTrace) -> None:
-    """Write one sweep as tau_s,T_meas_K,R_meas_ohm rows."""
-    data = np.column_stack((trace.tau_s, trace.t_meas_K, trace.r_meas_ohm))
-    _write_table(path, SWEEP_COLUMNS, data)
-
-
-def read_sweep_csv(path, sample_id: str, kind: str, field_mT: float, t_start_s: float) -> SweepTrace:
-    """Parse one sweep file; any malformed content is a DataError naming it."""
-    table = _read_table(path, SWEEP_COLUMNS)
-    try:
-        return SweepTrace(sample_id, kind, field_mT, t_start_s, *table.values())
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
-def write_csv(path, columns, rows) -> None:
-    """Write a table: a header row, text cells as they are, numbers with %.17g."""
-    _write_table(path, columns, rows)
-
-
-def read_csv(path, columns, text_columns=()) -> dict:
-    """{column: array} of a `write_csv` table; text_columns stay str, the rest finite floats."""
-    return _read_table(path, columns, text_columns)
-
-
 def write_dataset(out_dir, config: CampaignConfig, triplets) -> Path:
-    """Write one CSV per sweep plus the run manifest; returns the manifest path."""
+    """Write one .npy array per sweep plus the run manifest; returns the manifest path."""
     out_dir = Path(out_dir)
     sweep_dir = out_dir / SWEEP_DIR
     sweep_dir.mkdir(parents=True)  # an existing sweeps/ holds another run: refused

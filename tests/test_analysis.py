@@ -247,6 +247,17 @@ class TestInvertTrace:
         with pytest.raises(ValueError):
             invert_trace(tr, [0.1 * film.rn_ohm], film.rn_ohm)
 
+    def test_sweep_short_of_the_levels_rejected(self, film):
+        # a clamped end knot would read T at the sweep's end, not at the level
+        tr = logistic_trace(film, n=1200, field=3.0)
+        levels = default_levels(film.rn_ohm)
+        for keep in (slice(0, 540), slice(650, None)):  # ends below / starts above 0.2-0.8 R_N
+            cut = SweepTrace(tr.sample_id, tr.kind, tr.field_mT, 600.0,
+                             tr.tau_s[keep], tr.t_meas_K[keep], tr.r_meas_ohm[keep])
+            with pytest.raises(IncompleteTransition,
+                               match=rf"film sweep {tr.sample_id} at 3.0 mT starting at 600.0 s"):
+                invert_trace(cut, levels, film.rn_ohm)
+
     def test_noisy_averaging_gain(self, film):
         # mean absolute deviation from the analytic inverse beats the raw noise
         sigma_uK = 20.0

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from casimirlab import analyze_campaign, run_campaign
 from casimirlab import cli as cli_module
 from casimirlab import config as config_module
+from casimirlab.analysis import field_means
 from casimirlab.cli import main
 from casimirlab.config import (
     EXAMPLE_CONFIG,
@@ -37,7 +38,8 @@ from casimirlab.io import (
     write_csv,
     write_sweep_csv,
 )
-from casimirlab.report import SHIFTS_COLUMNS
+from casimirlab.physics import cavity_shift, delta_t_of_field
+from casimirlab.report import FITS_COLUMNS, SHIFTS_COLUMNS
 from casimirlab.simulate import SweepTrace
 
 SMALL_CONFIG = """
@@ -103,13 +105,14 @@ def simulate_run(runner, tmp_path, config_text, name="run"):
     return out
 
 
-def write_sweep_csv_reference(path, trace):
-    """The per-float sweep writer, kept to pin the file format."""
-    lines = [",".join(SWEEP_COLUMNS)]
-    for tau, t, r in zip(trace.tau_s, trace.t_meas_K, trace.r_meas_ohm):
-        lines.append(f"{format(float(tau), '.17g')},{format(float(t), '.17g')},"
-                     f"{format(float(r), '.17g')}")
-    path.write_text("\n".join(lines) + "\n")
+def write_sweep_reference(path, trace):
+    """The sweep file spelled out, to pin its format: .npy version 1.0, a
+    little-endian float64 (n, 3) array in C order, columns SWEEP_COLUMNS."""
+    data = np.array([trace.tau_s, trace.t_meas_K, trace.r_meas_ohm], dtype="<f8").T
+    header = "{'descr': '<f8', 'fortran_order': False, 'shape': (%d, %d), }" % data.shape
+    header += " " * (63 - (10 + len(header)) % 64) + "\n"  # the data starts 64-byte aligned
+    path.write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little")
+                     + header.encode("latin1") + data.tobytes())
 
 
 def write_csv_reference(path, columns, rows):
@@ -252,8 +255,9 @@ class TestSimulateCommand:
     def test_minimal_campaign_file_count(self, runner, small_config, tmp_path):
         out = tmp_path / "run"
         run_ok(runner, ["simulate", "--config", str(small_config), "--out", str(out)])
-        sweeps = sorted((out / "sweeps").glob("*.csv"))
+        sweeps = sorted((out / "sweeps").iterdir())
         assert len(sweeps) == 6  # 2 samples x 3 sweeps
+        assert all(p.suffix == ".npy" for p in sweeps)
         manifest = read_manifest(out)
         assert len(manifest["files"]) == 6
         assert manifest["master_seed"] == 77
@@ -270,7 +274,8 @@ class TestSimulateCommand:
             run_ok(runner, ["simulate", "--config", str(small_config), "--out", str(out)])
             outs.append(out)
         a, b = outs
-        for fa in sorted((a / "sweeps").glob("*.csv")):
+        assert len(list((a / "sweeps").glob("*.npy"))) == 6
+        for fa in sorted((a / "sweeps").glob("*.npy")):
             fb = b / "sweeps" / fa.name
             assert fa.read_bytes() == fb.read_bytes()
         assert normalized_manifest_bytes(a) == normalized_manifest_bytes(b)
@@ -315,6 +320,8 @@ class TestSimulateCommand:
 
 
 class TestSweepCsv:
+    """write_sweep_csv / read_sweep_csv, which write and read .npy sweep files."""
+
     @staticmethod
     def awkward_trace():
         rng = np.random.default_rng(5)
@@ -329,14 +336,14 @@ class TestSweepCsv:
 
     def test_bytes_match_reference_writer(self, tmp_path):
         trace = self.awkward_trace()
-        write_sweep_csv(tmp_path / "new.csv", trace)
-        write_sweep_csv_reference(tmp_path / "ref.csv", trace)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        write_sweep_csv(tmp_path / "new.npy", trace)
+        write_sweep_reference(tmp_path / "ref.npy", trace)
+        assert (tmp_path / "new.npy").read_bytes() == (tmp_path / "ref.npy").read_bytes()
 
     def test_read_back_bit_exact(self, tmp_path):
         trace = self.awkward_trace()
-        write_sweep_csv(tmp_path / "s.csv", trace)
-        back = read_sweep_csv(tmp_path / "s.csv", "film01", "film", 7.2, 0.0)
+        write_sweep_csv(tmp_path / "s.npy", trace)
+        back = read_sweep_csv(tmp_path / "s.npy", "film01", "film", 7.2, 0.0)
         for a, b in ((back.tau_s, trace.tau_s), (back.t_meas_K, trace.t_meas_K),
                      (back.r_meas_ohm, trace.r_meas_ohm)):
             assert np.array_equal(a, b)
@@ -368,29 +375,65 @@ class TestTableCsv:
             assert np.array_equal(table[name].view(np.uint64), expected.view(np.uint64))
 
 
-def _edit_line(path, line, edit):
-    lines = path.read_text().splitlines()
-    lines[line - 1] = edit(lines[line - 1])
-    path.write_text("\n".join(lines) + "\n")
+def _edit_array(edit):
+    """Edit of a sweep file: saves edit(array) in place of its array."""
+    return lambda path: np.save(path, edit(np.load(path)))
 
 
-def _set_cell(column, value):
-    def edit(row):
-        cells = row.split(",")
-        cells[column] = value
-        return ",".join(cells)
+def _set_element(row, column, value):
+    def edit(data):
+        data[row, column] = value
+        return data
     return edit
 
 
-def _swap_rows(path):
-    lines = path.read_text().splitlines()
-    lines[5], lines[6] = lines[6], lines[5]
-    path.write_text("\n".join(lines) + "\n")
+def _swap_rows(data):
+    data[[5, 6]] = data[[6, 5]]
+    return data
 
 
-def _truncate(path):
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:21]) + "\n")
+def _non_numeric_cell(data):
+    cells = data.astype("U32")
+    cells[3, 1] = "abc"
+    return cells
+
+
+def _cut_bytes(keep):
+    """Edit of a sweep file: keeps its first keep(bytes, array) bytes."""
+    def edit(path):
+        raw = path.read_bytes()
+        path.write_bytes(raw[:keep(raw, np.load(path))])
+    return edit
+
+
+def _claim_rows(rows):
+    """Edit of a sweep file: a well-formed header claiming `rows` rows, then the old data."""
+    def edit(path):
+        data = np.load(path)
+        with open(path, "wb") as f:
+            np.lib.format.write_array_header_1_0(
+                f, {"descr": "<f8", "fortran_order": False, "shape": (rows, 3)})
+            f.write(data.tobytes())
+    return edit
+
+
+def _save_npz(path):
+    """An .npz archive (np.load would return an NpzFile) under the sweep's name."""
+    data = np.load(path)
+    with open(path, "wb") as f:
+        np.savez(f, data)
+
+
+def _cut_film_mid(keep):
+    """Keeps the rows keep(array) of the film mid sweep. The file still parses, so the
+    error names the sweep (kind, sample, field, start), which analysis knows, not the file."""
+    def mutate(run_dir):
+        entry = read_manifest(run_dir)["files"][1]
+        assert (entry["kind"], entry["position"]) == ("film", "mid")
+        _edit_array(lambda data: data[:keep(data)])(run_dir / entry["path"])
+        return (f"film sweep film01 at {entry['applied_field_mT']} mT "
+                f"starting at {entry['t_start_s']} s")
+    return mutate
 
 
 def _sweep_edit(edit):
@@ -458,21 +501,34 @@ def _manifest_a_directory(run_dir):
     return "manifest.json"
 
 
-# each mutation damages one sweep file or the manifest and returns the name of
-# the file the error must name
+# each mutation damages one sweep file or the manifest and returns the text the
+# error must hold: the name of the damaged file, or the damaged sweep's identity
 MUTATIONS = {
-    "non-numeric cell": _sweep_edit(lambda p: _edit_line(p, 4, _set_cell(1, "abc"))),
-    "short row": _sweep_edit(lambda p: _edit_line(p, 9, lambda row: row.rsplit(",", 1)[0])),
-    "extra column": _sweep_edit(lambda p: _edit_line(p, 9, lambda row: row + ",1.0")),
-    "two columns throughout": _sweep_edit(lambda p: p.write_text(
-        "tau_s,T_meas_K,R_meas_ohm\n"
-        + "".join(row.rsplit(",", 1)[0] + "\n" for row in p.read_text().splitlines()[1:]))),
-    "header only": _sweep_edit(lambda p: p.write_text(p.read_text().splitlines()[0] + "\n")),
-    "too few rows": _sweep_edit(_truncate),
-    "times not increasing": _sweep_edit(_swap_rows),
-    "nan reading": _sweep_edit(lambda p: _edit_line(p, 30, _set_cell(1, "nan"))),
-    "inf reading": _sweep_edit(lambda p: _edit_line(p, 30, _set_cell(2, "-inf"))),
-    "not text": _sweep_edit(lambda p: p.write_bytes(b"\xff\xfe\x00garbage")),
+    "non-numeric cell": _sweep_edit(_edit_array(_non_numeric_cell)),
+    # the file ends inside its last row
+    "short row": _sweep_edit(_cut_bytes(lambda raw, data: len(raw) - 12)),
+    "extra column": _sweep_edit(_edit_array(lambda d: np.column_stack((d, np.ones(len(d)))))),
+    "two columns throughout": _sweep_edit(_edit_array(lambda d: d[:, :2])),
+    "one-dimensional array": _sweep_edit(_edit_array(np.ravel)),
+    "header only": _sweep_edit(_cut_bytes(lambda raw, data: len(raw) - data.nbytes)),
+    "truncated header": _sweep_edit(_cut_bytes(lambda raw, data: 40)),
+    "empty file": _sweep_edit(_cut_bytes(lambda raw, data: 0)),
+    "bad header": _sweep_edit(lambda p: p.write_bytes(p.read_bytes().replace(b"'descr'", b"'dexcr'"))),
+    "header claims more rows than the file holds": _sweep_edit(_claim_rows(200)),
+    "header claims too many rows to allocate": _sweep_edit(_claim_rows(2**50)),
+    "wrong dtype": _sweep_edit(_edit_array(lambda d: d.astype(np.float32))),
+    "pickled object array": _sweep_edit(_edit_array(lambda d: d.astype(object))),
+    "npz archive": _sweep_edit(_save_npz),
+    "missing file": _sweep_edit(lambda p: p.unlink()),
+    "too few rows": _sweep_edit(_edit_array(lambda d: d[:21])),
+    "times not increasing": _sweep_edit(_edit_array(_swap_rows)),
+    "nan reading": _sweep_edit(_edit_array(_set_element(28, 1, np.nan))),
+    "inf reading": _sweep_edit(_edit_array(_set_element(28, 2, -np.inf))),
+    "not an npy file": _sweep_edit(lambda p: p.write_bytes(b"\xff\xfe\x00garbage")),
+    # the averaging window's levels lie in 0.2-0.8 R_N
+    "mid sweep ends below the levels": _cut_film_mid(lambda d: int(0.45 * len(d))),
+    "mid sweep ends inside the levels": _cut_film_mid(
+        lambda d: int(np.argmax(d[:, 2] > 0.6 * 300.0)) + 1),
     "entry lacks t_start_s": _manifest_edit(_drop_t_start, named_file=1),
     "field_mT not a number": _manifest_edit(_set_entry(1, "field_mT", "7.2"), named_file=1),
     "path not a string": _manifest_edit(_set_entry(1, "path", 5)),
@@ -520,36 +576,36 @@ class TestMalformedInput:
         assert "data error" in result.stderr
         assert victim in result.stderr
 
-    def test_non_finite_message_names_line(self, runner, run_dir):
+    def test_non_finite_message_names_row_and_column(self, runner, run_dir):
         victim = run_dir / read_manifest(run_dir)["files"][2]["path"]
-        _edit_line(victim, 10, lambda row: row + "\n")  # loadtxt skips empty lines
-        text = victim.read_text()
-        # a non-finite, a non-numeric, an extra and a missing cell on line 30;
-        # the reasons after the line are numpy's, apart from the first
-        for edit, reason in [
-            (_set_cell(0, "nan"), "non-finite tau_s"),
-            (_set_cell(1, "abc"), ""),
-            (lambda row: row + ",1.0", ""),
-            (lambda row: row.rsplit(",", 1)[0], ""),
+        data = np.load(victim)
+        # rows count from 0, as in the array; the first bad element in row order is named
+        for cells, named in [
+            ([(29, 0, np.nan)], "row 29: non-finite tau_s"),
+            ([(29, 2, np.inf), (40, 1, np.nan)], "row 29: non-finite R_meas_ohm"),
+            ([(41, 0, -np.inf), (40, 1, np.nan)], "row 40: non-finite T_meas_K"),
         ]:
-            victim.write_text(text)
-            _edit_line(victim, 30, edit)
+            damaged = data.copy()
+            for row, column, value in cells:
+                damaged[row, column] = value
+            np.save(victim, damaged)
             result = runner.invoke(main, ["analyze", str(run_dir)])
             assert result.exit_code == 3
-            assert f"{victim}: line 30: {reason}" in result.stderr
+            assert f"{victim}: {named}" in result.stderr
 
 
-# cell values for random damage to CSV files and the config snapshot
+# cell values for random damage to the analysis CSVs, element values for the sweep arrays
 CELLS = st.sampled_from(["abc", "nan", "-inf", "1e999", "", " ", "1,2", "0x1p3", "-0"])
+ELEMENTS = st.sampled_from([np.nan, np.inf, -np.inf, float("1e999")])
 JSON_VALUES = st.sampled_from([None, "x", "", -1, 0, 1e300, -1e300, True, [], {}, [1, "a"]])
 INDEX = st.integers(0, 10**6)  # taken modulo the number of candidates
 
 # mutation kind -> strategy for its arguments
 RANDOM_MUTATIONS = {
     "delete sweep": st.tuples(INDEX),
-    "truncate sweep": st.tuples(INDEX, st.integers(0, 130)),
-    "inject cell": st.tuples(INDEX, st.integers(1, 130), st.integers(0, 3), CELLS),
-    "swap lines": st.tuples(INDEX, st.integers(0, 130), st.integers(0, 130)),
+    "truncate sweep": st.tuples(INDEX, st.integers(0, 3100)),  # bytes kept; a sweep has 3008
+    "inject cell": st.tuples(INDEX, st.integers(0, 130), st.integers(0, 3), ELEMENTS),
+    "swap rows": st.tuples(INDEX, st.integers(0, 130), st.integers(0, 130)),
     "drop manifest key": st.tuples(INDEX, st.integers(-1, 10**6)),
     "corrupt snapshot": st.tuples(
         INDEX, INDEX,
@@ -574,22 +630,25 @@ def _inject_cell(path, line, column, cell):
 
 
 def _apply_random_mutation(run_dir, kind, args):
-    sweeps = sorted((run_dir / "sweeps").glob("*.csv"))
+    sweeps = sorted((run_dir / "sweeps").glob("*.npy"))
     manifest_path = run_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     if kind == "delete sweep":
         _pick(sweeps, args[0]).unlink()
     elif kind == "truncate sweep":
         path = _pick(sweeps, args[0])
-        path.write_text("".join(path.read_text().splitlines(keepends=True)[:args[1]]))
+        path.write_bytes(path.read_bytes()[:args[1]])
     elif kind == "inject cell":
-        _inject_cell(_pick(sweeps, args[0]), *args[1:])
-    elif kind == "swap lines":
+        path, row, column, value = _pick(sweeps, args[0]), *args[1:]
+        data = np.load(path)
+        data[row % len(data), column % data.shape[1]] = value
+        np.save(path, data)
+    elif kind == "swap rows":
         path, i, j = _pick(sweeps, args[0]), *args[1:]
-        lines = path.read_text().splitlines()
-        i, j = i % len(lines), j % len(lines)
-        lines[i], lines[j] = lines[j], lines[i]
-        path.write_text("\n".join(lines) + "\n")
+        data = np.load(path)
+        i, j = i % len(data), j % len(data)
+        data[[i, j]] = data[[j, i]]
+        np.save(path, data)
     elif kind == "drop manifest key":
         target = manifest if args[1] < 0 else _pick(manifest["files"], args[1])
         del target[_pick(sorted(target), args[0])]
@@ -679,6 +738,68 @@ class TestLibraryMatchesCli:
         assert not cli
 
 
+def configured_shift_uK(config, h_mT):
+    """The film-cavity gap a noiseless campaign must recover at nominal field h_mT.
+
+    The cavity sees H*(1 + homogeneity), so the gap is the cavity shift there
+    less the bare-film shift that the field offset itself adds.
+    """
+    h_cav = h_mT * (1.0 + config.homogeneity)
+    offset = delta_t_of_field(config.film, h_cav) - delta_t_of_field(config.film, h_mT)
+    return (cavity_shift(config.cavity, h_cav, config.enhancement)
+            - offset * config.film.tc0_K * 1e6)
+
+
+class TestEndToEndExactness:
+    """Noiseless campaign, linear drift: at each measured cavity field the film fit
+    minus the per-field cavity mean is the configured shift, in process and from
+    the files `analyze` writes."""
+
+    BOUND_UK = 1e-6
+
+    @pytest.fixture(params=["zero-point", "thermal"])
+    def config_text(self, request):
+        text = THERMAL_EXAMPLE if request.param == "thermal" else EXAMPLE_CONFIG
+        assert "drift_uK_per_hr = -50.0" in text
+        return re.sub(r"(?m)^sigma_fast_uK = .*$", "sigma_fast_uK = 0", text)
+
+    @staticmethod
+    def gap_errors_uK(config, predict, tc0_K, fields, delta_t, sigma):
+        fields, cavity_mean, _ = field_means(fields, delta_t, sigma)
+        gap = (predict(fields) - cavity_mean) * tc0_K * 1e6
+        return np.abs(gap - [configured_shift_uK(config, h) for h in fields])
+
+    def test_in_process(self, tmp_path, config_text):
+        path = tmp_path / "c.ini"
+        path.write_text(config_text)
+        config = load_config(path)
+        result = analyze_campaign(run_campaign(config), rn_ohm=config.film.rn_ohm)
+        cavity = [e for e in result.estimates if e.kind == "cavity"]
+        errors = self.gap_errors_uK(
+            config, result.film_fit.predict, result.tc0_K[config.film_sample_id],
+            [e.field_mT for e in cavity], [e.delta_t for e in cavity],
+            [e.sigma_delta_t for e in cavity])
+        assert len(errors) == len(config.fields_mT)
+        assert np.max(errors) < self.BOUND_UK
+
+    def test_through_cli(self, runner, tmp_path, config_text):
+        out = simulate_run(runner, tmp_path, config_text)
+        run_ok(runner, ["analyze", str(out), "--quiet"])
+        config = load_config(tmp_path / "run.ini")
+        analysis = out / "analysis"
+        shifts = read_csv(analysis / "shifts.csv", SHIFTS_COLUMNS, ("sample_id", "kind"))
+        fits = read_csv(analysis / "fits.csv", FITS_COLUMNS, ("sample_id",))
+        a, b = fits["a_per_mT2"][0], fits["b_per_mT"][0]
+        tc0_K = float(re.search(r"Tc0\[film01\] = (\S+) K",
+                                (analysis / "summary.txt").read_text()).group(1))
+        cavity = shifts["kind"] == "cavity"
+        errors = self.gap_errors_uK(
+            config, lambda h: a * h * h + b * h, tc0_K, shifts["field_mT"][cavity],
+            shifts["delta_t"][cavity], shifts["sigma_delta_t"][cavity])
+        assert len(errors) == len(config.fields_mT)
+        assert np.max(errors) < self.BOUND_UK
+
+
 class TestAnalyzeCommand:
     @pytest.fixture
     def run_dir(self, runner, tmp_path):
@@ -717,7 +838,7 @@ class TestAnalyzeCommand:
             assert abs(float(r.split(",")[6])) < 40.0
 
     def test_incomplete_triplet_exit_code(self, runner, run_dir):
-        victim = next(iter((run_dir / "sweeps").glob("*_mid.csv")))
+        victim = next(iter((run_dir / "sweeps").glob("*_mid.npy")))
         victim.unlink()
         result = runner.invoke(main, ["analyze", str(run_dir)])
         assert result.exit_code == 3
@@ -908,20 +1029,19 @@ class TestReportCommand:
         ]
         mid = [r for r in rows if r[0] == "mid"]
         assert {float(r[1]) for r in mid} == {-7.2}
-        sweep = plus_minus_run / "sweeps" / "film01_film_m0007200uT_rep000_mid.csv"
-        expected = [line.split(",") for line in sweep.read_text().splitlines()[1:]]
-        assert [r[2:] for r in mid] == expected
+        sweep = plus_minus_run / "sweeps" / "film01_film_m0007200uT_rep000_mid.npy"
+        assert [[float(v) for v in r[2:]] for r in mid] == np.load(sweep).tolist()
 
     def test_missing_unplotted_sweep_exits_3(self, runner, plus_minus_run):
-        victim = plus_minus_run / "sweeps" / "cav01_cavity_p0002000uT_rep001_post.csv"
+        victim = plus_minus_run / "sweeps" / "cav01_cavity_p0002000uT_rep001_post.npy"
         victim.unlink()
         result = runner.invoke(main, ["report", str(plus_minus_run)])
         assert result.exit_code == 3
         assert victim.name in result.stderr
 
     def test_corrupt_unplotted_sweep_not_parsed_by_report(self, runner, plus_minus_run):
-        victim = plus_minus_run / "sweeps" / "cav01_cavity_p0002000uT_rep001_post.csv"
-        _edit_line(victim, 4, _set_cell(1, "abc"))
+        victim = plus_minus_run / "sweeps" / "cav01_cavity_p0002000uT_rep001_post.npy"
+        _edit_array(_set_element(3, 1, np.nan))(victim)
         run_ok(runner, ["report", str(plus_minus_run)])
         result = runner.invoke(main, ["analyze", str(plus_minus_run)])
         assert result.exit_code == 3
@@ -963,8 +1083,7 @@ class TestReportCommand:
         expected = {p.name: p.read_bytes() for p in report.glob("*.csv")}
         shifts = analyzed_run / "analysis" / "shifts.csv"
         expected_shifts = shifts.read_bytes()
-        for path in [shifts, analyzed_run / "analysis" / "fits.csv",
-                     *(analyzed_run / "sweeps").glob("*.csv")]:
+        for path in [shifts, analyzed_run / "analysis" / "fits.csv"]:
             header, *rows = path.read_text().splitlines()
             path.write_text("\n".join([header, "", *rows[:5], "", "", *rows[5:], ""]) + "\n")
         run_ok(runner, ["report", str(analyzed_run)])
