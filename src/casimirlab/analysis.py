@@ -1,9 +1,10 @@
 """Inverse pipeline: from measured sweeps back to the temperature-shift signal.
 
-Implements Tc0 extraction (maximum of dR/dT), monotone trace inversion,
-the averaged-difference shift estimator over the 0.2-0.8 R/RN window,
-triplet drift correction, the high-field parabola fit, the film-cavity
-differential signal and the repeat-based sensitivity estimate.
+Implements monotone trace inversion, Tc0 as the mean of T(R) over the
+resistance levels, the averaged-difference shift estimator over the
+0.2-0.8 R/RN window, triplet drift correction, the high-field parabola
+fit, the film-cavity differential signal and the repeat-based
+sensitivity estimate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ WINDOW_LO = 0.2
 WINDOW_HI = 0.8
 
 DEFAULT_N_LEVELS = 50  # resistance levels of the shift estimate
-TC0_WINDOW_FRAC = 0.05  # Tc0 regression window, as a fraction of the sweep
 DIFF_GRID_POINTS = 241  # field grid of the differential signal
 
 # Adjacent resistance levels reuse the same noisy points, so the per-level
@@ -128,86 +128,6 @@ def pav_increasing(y: np.ndarray) -> np.ndarray:
         counts = np.bincount(labels, weights=counts)
 
 
-def _quadratic_fit(x, y):
-    """Least-squares (c0, c1, c2) of y = c0 + c1*x + c2*x**2 along the last axis.
-
-    Solves the 3x3 normal equations in closed form (Cramer's rule, through
-    the cofactors of the symmetric moment matrix). x should be centred near
-    0, which keeps the equations well conditioned; c1 is then the slope at
-    x = 0.
-    """
-    x2 = x * x
-    s0 = x.shape[-1]
-    s1, s2, s3, s4 = x.sum(-1), x2.sum(-1), (x2 * x).sum(-1), (x2 * x2).sum(-1)
-    b0, b1, b2 = y.sum(-1), (y * x).sum(-1), (y * x2).sum(-1)
-    m00 = s2 * s4 - s3 * s3
-    m01 = s2 * s3 - s1 * s4
-    m02 = s1 * s3 - s2 * s2
-    m11 = s0 * s4 - s2 * s2
-    m12 = s1 * s2 - s0 * s3
-    m22 = s0 * s2 - s1 * s1
-    det = s0 * m00 + s1 * m01 + s2 * m02
-    return (
-        (m00 * b0 + m01 * b1 + m02 * b2) / det,
-        (m01 * b0 + m11 * b1 + m12 * b2) / det,
-        (m02 * b0 + m12 * b1 + m22 * b2) / det,
-    )
-
-
-def extract_tc0(trace: SweepTrace, rn_ohm: float) -> float:
-    """Transition temperature: the T maximizing dR/dT.
-
-    The derivative is estimated by local quadratic regression over a sliding
-    window of TC0_WINDOW_FRAC of the trace length, centered on each candidate
-    point (only points with R in (0.05, 0.95)*RN are candidates). For the
-    noiseless logistic model this returns Tc(H) within grid resolution.
-    """
-    r = np.asarray(trace.r_meas_ohm, dtype=float)
-    t = np.asarray(trace.t_meas_K, dtype=float)
-    rn = float(rn_ohm)
-    if np.min(r) > 0.1 * rn or np.max(r) < 0.9 * rn:
-        raise IncompleteTransition(
-            f"sweep {trace.sample_id} at {trace.field_mT} mT does not span the transition"
-        )
-    order = np.argsort(t, kind="stable")
-    t, r = t[order], r[order]
-    n = len(t)
-    w = max(5, int(round(TC0_WINDOW_FRAC * n)) | 1)
-    half = w // 2
-
-    cand = np.nonzero((r > 0.05 * rn) & (r < 0.95 * rn))[0]
-    cand = cand[(cand >= half) & (cand < n - half)]
-    if cand.size == 0:
-        cand = np.arange(half, n - half)
-    # a quadratic needs 3 distinct temperatures in each window
-    rises = np.concatenate(([0], np.cumsum(np.diff(t) > 0)))
-    if np.any(rises[cand + half] - rises[cand - half] < 2):
-        raise SingularFit(
-            f"sweep {trace.sample_id} at {trace.field_mT} mT has a Tc0 window "
-            "with fewer than 3 distinct temperatures"
-        )
-
-    windows_t = np.lib.stride_tricks.sliding_window_view(t, w)[cand - half]
-    windows_r = np.lib.stride_tricks.sliding_window_view(r, w)[cand - half]
-    # center each window on its candidate T so the linear coefficient is the
-    # derivative there and the fit is exactly translation-equivariant
-    _, deriv, _ = _quadratic_fit(windows_t - t[cand, None], windows_r)
-
-    peak = int(np.argmax(deriv))
-    # refine the grid argmax by a parabola through the derivative curve
-    # around the peak; fall back to the grid point at the candidate edges
-    lo, hi = max(0, peak - half), min(len(cand), peak + half + 1)
-    if hi - lo >= 3:
-        x = t[cand[lo:hi]] - t[cand[peak]]
-        _, c1, c2 = _quadratic_fit(x, deriv[lo:hi])
-        if c2 < 0:
-            vertex = -c1 / (2.0 * c2)
-            span = x.max() - x.min()
-            if abs(vertex) <= 0.5 * span:
-                return float(t[cand[peak]] + vertex)
-    return float(t[cand[peak]])
-
-
 def _monotone_knots(trace: SweepTrace, rn_ohm: float):
     """Sorted, monotonized (R, T) knots for inversion.
 
@@ -221,7 +141,7 @@ def _monotone_knots(trace: SweepTrace, rn_ohm: float):
     t, r = t[order], r[order]
     r_fit = pav_increasing(r)
 
-    discarded = np.mean(np.abs(r_fit - r) > DISCARD_TOLERANCE * rn_ohm)
+    discarded = np.count_nonzero(np.abs(r_fit - r) > DISCARD_TOLERANCE * rn_ohm) / len(r)
     if discarded > DISCARD_LIMIT:
         raise NonMonotonic(
             f"monotonization displaced {discarded:.0%} of points "
@@ -245,15 +165,15 @@ def invert_trace(trace: SweepTrace, r_levels, rn_ohm: float) -> np.ndarray:
     reading a clamped end knot.
     """
     levels = np.asarray(r_levels, dtype=float)
-    if np.any(levels <= WINDOW_LO * rn_ohm) or np.any(levels >= WINDOW_HI * rn_ohm):
+    lo, hi = levels.min(), levels.max()
+    if lo <= WINDOW_LO * rn_ohm or hi >= WINDOW_HI * rn_ohm:
         raise ValueError("resistance levels must lie inside the (0.2, 0.8)*RN window")
     knot_r, knot_t = _monotone_knots(trace, rn_ohm)
-    if knot_r[0] > levels.min() or knot_r[-1] < levels.max():
+    if knot_r[0] > lo or knot_r[-1] < hi:
         raise IncompleteTransition(
             f"{trace.kind} sweep {trace.sample_id} at {trace.field_mT} mT starting at "
             f"{trace.t_start_s} s does not span the resistance levels: its monotone R covers "
-            f"{knot_r[0]:.6g} to {knot_r[-1]:.6g} ohm, the levels {levels.min():.6g} to "
-            f"{levels.max():.6g} ohm"
+            f"{knot_r[0]:.6g} to {knot_r[-1]:.6g} ohm, the levels {lo:.6g} to {hi:.6g} ohm"
         )
     return np.interp(levels, knot_r, knot_t)
 
@@ -265,6 +185,18 @@ def default_levels(rn_ohm: float) -> np.ndarray:
     return frac * rn_ohm
 
 
+def extract_tc0(trace: SweepTrace, rn_ohm: float) -> float:
+    """Transition temperature: the mean of T(R) over the default levels.
+
+    The levels are symmetric about RN/2 and a logistic T(R) is antisymmetric
+    about its midpoint, so for the simulator's transitions the mean is the
+    midpoint exactly. On an asymmetric transition it differs from the dR/dT
+    peak; Tc0 only normalizes the shift. A sweep that does not reach the
+    levels raises IncompleteTransition, as in invert_trace.
+    """
+    return float(invert_trace(trace, default_levels(rn_ohm), rn_ohm).mean())
+
+
 def estimate_shift(t_zero, t_field, tc0_K: float) -> tuple[float, float]:
     """Averaged-difference estimator: delta_t = mean_R [T(R,0) - T(R,H)] / Tc0.
 
@@ -274,9 +206,9 @@ def estimate_shift(t_zero, t_field, tc0_K: float) -> tuple[float, float]:
     to account for the correlation between adjacent levels.
     """
     diffs = t_zero - t_field
-    delta_t = float(np.mean(diffs)) / tc0_K
+    delta_t = float(diffs.mean()) / tc0_K
     n_eff = max(1.0, len(diffs) / LEVEL_CORRELATION_FACTOR)
-    return delta_t, float(np.std(diffs, ddof=1)) / np.sqrt(n_eff) / tc0_K
+    return delta_t, float(diffs.std(ddof=1)) / np.sqrt(n_eff) / tc0_K
 
 
 def drift_corrected_shift(triplet: TripletRecord, tc0_K: float, rn_ohm: float) -> ShiftEstimate:

@@ -50,8 +50,8 @@ def sample_tc0(triplets, sample_id: str, rn_ohm: float) -> float:
     """Tc0 of one sample from its zero-field sweeps, corrected for drift.
 
     The apparent zero-field transition temperature rises linearly with
-    campaign time under thermometer drift, so the derivative-maximum
-    temperatures are regressed against each sweep's mid-time and the
+    campaign time under thermometer drift, so the per-sweep level means of
+    T(R) (`extract_tc0`) are regressed against each sweep's mid-time and the
     intercept at the campaign start is reported. With fewer than three
     zero-field sweeps (or no time spread) the plain mean is used.
     """

@@ -21,12 +21,12 @@ from casimirlab import (
     fit_parabola,
     generate_sweep,
     invert_trace,
+    run_campaign,
     run_triplet,
 )
 from casimirlab import analysis
 from casimirlab.analysis import (
     LEVEL_CORRELATION_FACTOR,
-    _quadratic_fit,
     default_levels,
     pav_increasing,
 )
@@ -38,6 +38,7 @@ from casimirlab.errors import (
     SingularFit,
 )
 from casimirlab.physics import transition_midpoint, transition_width_e
+from casimirlab.pipeline import sample_tc0
 
 
 def make_trace(t, r, field=0.0, sample_id="s", kind="film", t_start=0.0):
@@ -143,53 +144,6 @@ class TestPav:
         assert_matches_pav_reference(y)
 
 
-def tc0_lstsq_reference(trace, rn_ohm, window_frac=0.05):
-    """extract_tc0 with one np.linalg.lstsq per window, for comparison."""
-    order = np.argsort(trace.t_meas_K, kind="stable")
-    t, r = trace.t_meas_K[order], trace.r_meas_ohm[order]
-    n = len(t)
-    w = max(5, int(round(window_frac * n)) | 1)
-    half = w // 2
-    cand = np.nonzero((r > 0.05 * rn_ohm) & (r < 0.95 * rn_ohm))[0]
-    cand = cand[(cand >= half) & (cand < n - half)]
-
-    def quadratic(x, y):
-        return np.linalg.lstsq(np.vander(x, 3, increasing=True), y, rcond=None)[0]
-
-    deriv = np.array(
-        [quadratic(t[c - half:c + half + 1] - t[c], r[c - half:c + half + 1])[1] for c in cand]
-    )
-    peak = int(np.argmax(deriv))
-    lo, hi = max(0, peak - half), min(len(cand), peak + half + 1)
-    x = t[cand[lo:hi]] - t[cand[peak]]
-    _, c1, c2 = quadratic(x, deriv[lo:hi])
-    vertex = -c1 / (2.0 * c2)
-    assert c2 < 0 and abs(vertex) <= 0.5 * np.ptp(x)
-    return t[cand[peak]] + vertex
-
-
-class TestQuadraticFit:
-    def test_matches_polyfit_on_centred_windows(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            k = int(rng.integers(3, 80))
-            scale = 10.0 ** rng.uniform(-6, 1)
-            x = np.sort(rng.uniform(-scale, scale, k))
-            y = rng.normal(0.0, 1.0, 3) @ np.vstack([np.ones(k), x / scale, (x / scale) ** 2])
-            y += rng.normal(0.0, 0.1, k)
-            got = np.array(_quadratic_fit(x, y))
-            np.testing.assert_allclose(got, np.polyfit(x, y, 2)[::-1], rtol=1e-9)
-
-    @pytest.mark.parametrize("n", [300, 1200])
-    def test_extract_tc0_matches_lstsq_reference(self, film, n):
-        for seed in range(5):
-            noise = NoiseModel(sigma_fast_uK=3.0, seed=seed)
-            tr = generate_sweep("film", film, 0.0, noise, 0.0, 1200.0, n)
-            assert extract_tc0(tr, film.rn_ohm) == pytest.approx(
-                tc0_lstsq_reference(tr, film.rn_ohm), abs=1e-12
-            )
-
-
 class TestExtractTc0:
     def test_noiseless_logistic(self, film):
         tr = logistic_trace(film, n=600)
@@ -210,12 +164,24 @@ class TestExtractTc0:
         with pytest.raises(IncompleteTransition):
             extract_tc0(clipped, film.rn_ohm)
 
-    def test_quantized_temperatures_singular(self):
-        # 0.4 mK read-out steps put fewer than 3 distinct T in some windows
-        t = np.repeat(1.5 + np.arange(-12, 12) * 4e-4, 25)
-        r = 300.0 / (1.0 + np.exp(-(t - 1.5) / 1e-3))
-        with pytest.raises(SingularFit):
-            extract_tc0(make_trace(t, r), 300.0)
+    @pytest.mark.parametrize("n", [300, 600, 1200])
+    def test_noiseless_sweep_exact(self, film, n):
+        # a logistic T(R) is antisymmetric about RN/2, like the level grid
+        assert abs(extract_tc0(logistic_trace(film, n=n), film.rn_ohm) - film.tc0_K) < 1e-12
+
+    def test_sample_tc0_exact_under_drift(self):
+        cfg = default_config(noise=NoiseModel(sigma_fast_uK=0.0, drift_uK_per_hr=-50.0, seed=1))
+        triplets = run_campaign(cfg)
+        for sample_id, tc0_K in [(cfg.film_sample_id, cfg.film.tc0_K),
+                                 (cfg.cavity_sample_id, cfg.cavity.film.tc0_K)]:
+            assert abs(sample_tc0(triplets, sample_id, cfg.film.rn_ohm) - tc0_K) < 1e-12
+
+    def test_sweep_covering_only_the_levels(self, film):
+        # R spans 0.15-0.85 RN: enough for the levels, short of 0.1-0.9 RN
+        tr = logistic_trace(film, n=1200)
+        keep = (tr.r_meas_ohm > 0.15 * film.rn_ohm) & (tr.r_meas_ohm < 0.85 * film.rn_ohm)
+        cut = make_trace(tr.t_meas_K[keep], tr.r_meas_ohm[keep])
+        assert abs(extract_tc0(cut, film.rn_ohm) - film.tc0_K) < 1e-12
 
     def test_noisy_recovery_within_10uK(self, film):
         errs = []
@@ -431,8 +397,6 @@ class TestDriftCorrection:
 
     def test_scatter_near_6uK(self, film):
         cfg = default_config(fields_mT=(7.2,), replications=50)
-        from casimirlab import run_campaign
-
         trips = [t for t in run_campaign(cfg) if t.kind == "film"]
         ests = [drift_corrected_shift(t, film.tc0_K, rn_ohm=film.rn_ohm) for t in trips]
         scatter = np.std([e.shift_uK(film.tc0_K) for e in ests], ddof=1)

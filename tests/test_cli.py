@@ -565,7 +565,13 @@ MUTATIONS = {
 class TestMalformedInput:
     @pytest.fixture
     def run_dir(self, runner, tmp_path):
-        return simulate_run(runner, tmp_path, SMALL_CONFIG)
+        # enough fields for the parabola fit, so only the mutation can fail analyze
+        return simulate_run(
+            runner, tmp_path, SMALL_CONFIG.replace("fields_mT = 7.2", "fields_mT = 2 5 7.2 9 10"))
+
+    def test_unmutated_run_analyzes(self, runner, run_dir):
+        result = runner.invoke(main, ["analyze", str(run_dir)])
+        assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize("mutation", list(MUTATIONS))
     def test_analyze_exits_3_naming_file(self, runner, run_dir, mutation):
