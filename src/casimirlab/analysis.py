@@ -185,16 +185,34 @@ def default_levels(rn_ohm: float) -> np.ndarray:
     return frac * rn_ohm
 
 
+def _level_temperatures(trace: SweepTrace, rn_ohm: float) -> np.ndarray:
+    """T(R) of the sweep at the default levels, inverted once per sweep and rn_ohm.
+
+    The read-only result is kept on the sweep itself, in its instance
+    __dict__ as functools.cached_property keeps a value, so that Tc0 and the
+    triplet shift share one inversion. A `dataclasses.replace` copy starts
+    without it, and another rn_ohm replaces it. A sweep that raises is not
+    kept, so it raises again on the next call.
+    """
+    memo = trace.__dict__.get("_level_temperatures")
+    if memo is None or memo[0] != rn_ohm:
+        temps = invert_trace(trace, default_levels(rn_ohm), rn_ohm)
+        temps.flags.writeable = False
+        memo = trace.__dict__["_level_temperatures"] = (rn_ohm, temps)
+    return memo[1]
+
+
 def extract_tc0(trace: SweepTrace, rn_ohm: float) -> float:
     """Transition temperature: the mean of T(R) over the default levels.
 
     The levels are symmetric about RN/2 and a logistic T(R) is antisymmetric
     about its midpoint, so for the simulator's transitions the mean is the
     midpoint exactly. On an asymmetric transition it differs from the dR/dT
-    peak; Tc0 only normalizes the shift. A sweep that does not reach the
-    levels raises IncompleteTransition, as in invert_trace.
+    peak; Tc0 only normalizes the shift. The level temperatures stay on the
+    sweep, and drift_corrected_shift reuses them. A sweep that does not reach
+    the levels raises IncompleteTransition, as in invert_trace.
     """
-    return float(invert_trace(trace, default_levels(rn_ohm), rn_ohm).mean())
+    return float(_level_temperatures(trace, rn_ohm).mean())
 
 
 def estimate_shift(t_zero, t_field, tc0_K: float) -> tuple[float, float]:
@@ -214,13 +232,13 @@ def estimate_shift(t_zero, t_field, tc0_K: float) -> tuple[float, float]:
 def drift_corrected_shift(triplet: TripletRecord, tc0_K: float, rn_ohm: float) -> ShiftEstimate:
     """Mean of the pre-vs-mid and post-vs-mid estimates.
 
-    Each sweep is inverted once at the default levels. For drift linear in
-    time and a symmetric triplet schedule the two one-sided biases are
-    equal and opposite, so the mean is exactly drift-free; uncertainties
-    combine in quadrature.
+    Each sweep is inverted at the default levels at most once: the pre and
+    post temperatures that extract_tc0 kept on the sweep are reused. For
+    drift linear in time and a symmetric triplet schedule the two one-sided
+    biases are equal and opposite, so the mean is exactly drift-free;
+    uncertainties combine in quadrature.
     """
-    levels = default_levels(rn_ohm)
-    t_pre, t_mid, t_post = (invert_trace(s, levels, rn_ohm) for _, s in triplet.sweeps())
+    t_pre, t_mid, t_post = (_level_temperatures(s, rn_ohm) for _, s in triplet.sweeps())
     before, sigma_before = estimate_shift(t_pre, t_mid, tc0_K)
     after, sigma_after = estimate_shift(t_post, t_mid, tc0_K)
     return ShiftEstimate(

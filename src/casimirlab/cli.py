@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error or unwritable output path,
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 
 import click
@@ -80,9 +81,16 @@ def cmd_simulate(config_path, out_dir, seed, quiet):
         click.echo(f"manifest: {manifest_path}")
 
 
+def _finite(ctx, param, value):
+    """Click callback: a NaN or infinite number is a usage error (exit 2)."""
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 @main.command("analyze")
 @click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
-@click.option("--fit-threshold-mT", "fit_threshold", type=float, default=None,
+@click.option("--fit-threshold-mT", "fit_threshold", type=float, default=None, callback=_finite,
               help="High-field threshold for the parabola fit "
                    "[default: auto from sensitivity].")
 @click.option("--include-linear", is_flag=True,

@@ -15,6 +15,7 @@ import json
 from datetime import datetime, timezone
 from io import StringIO
 from itertools import chain
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,13 @@ def sweep_groups(run_dir, manifest: dict) -> list:
             raise DataError(
                 f"{manifest_path}: files[{n}] ({entry.get('path', 'no path')}) "
                 f"lacks or mistypes {', '.join(bad)}"
+            )
+        # json reads NaN, Infinity and 1e999 as non-finite floats
+        bad = [k for k in SWEEP_ENTRY_TYPES
+               if isinstance(entry[k], float) and not isfinite(entry[k])]
+        if bad:
+            raise DataError(
+                f"{manifest_path}: files[{n}] ({entry['path']}) has non-finite {', '.join(bad)}"
             )
         path = run_dir / entry["path"]
         if not path.exists():

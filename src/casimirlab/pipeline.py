@@ -53,7 +53,8 @@ def sample_tc0(triplets, sample_id: str, rn_ohm: float) -> float:
     campaign time under thermometer drift, so the per-sweep level means of
     T(R) (`extract_tc0`) are regressed against each sweep's mid-time and the
     intercept at the campaign start is reported. With fewer than three
-    zero-field sweeps (or no time spread) the plain mean is used.
+    zero-field sweeps (or no time spread) the plain mean is used. Each
+    sweep's level temperatures stay on it for its triplet's shift.
     """
     values, times = [], []
     for trip in triplets:

@@ -62,7 +62,9 @@ class SweepTrace:
 
     tau_s, t_meas_K, r_meas_ohm are parallel arrays ordered by time.
     field_mT is the applied (signed) field; t_start_s the campaign-clock
-    offset of the first point.
+    offset of the first point. The arrays must not be modified after
+    construction: the analysis keeps results computed from them on the
+    sweep (see analysis.extract_tc0).
     """
 
     sample_id: str

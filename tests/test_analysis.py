@@ -38,7 +38,7 @@ from casimirlab.errors import (
     SingularFit,
 )
 from casimirlab.physics import transition_midpoint, transition_width_e
-from casimirlab.pipeline import sample_tc0
+from casimirlab.pipeline import analyze_campaign, sample_tc0
 
 
 def make_trace(t, r, field=0.0, sample_id="s", kind="film", t_start=0.0):
@@ -190,6 +190,62 @@ class TestExtractTc0:
             tr = generate_sweep("film", film, 0.0, noise, 0.0, 1200.0, 1200)
             errs.append(abs(extract_tc0(tr, film.rn_ohm) - film.tc0_K))
         assert np.percentile(errs, 95) < 10e-6
+
+
+def counted_inversions(monkeypatch):
+    """The sweeps that analysis.invert_trace is called on, in call order."""
+    calls = []
+    original = analysis.invert_trace
+
+    def counting(trace, r_levels, rn_ohm):
+        calls.append(trace)
+        return original(trace, r_levels, rn_ohm)
+
+    monkeypatch.setattr(analysis, "invert_trace", counting)
+    return calls
+
+
+class TestLevelTemperatures:
+    """One inversion per sweep and rn_ohm, kept on the sweep for Tc0 and the shift."""
+
+    def test_analyze_campaign_inverts_each_sweep_once(self, monkeypatch):
+        calls = counted_inversions(monkeypatch)
+        cfg = default_config(fields_mT=(2.0, 5.0, 7.2, 9.0, 10.0), points_per_sweep=300)
+        triplets = run_campaign(cfg)
+        analyze_campaign(triplets, rn_ohm=cfg.film.rn_ohm)
+        sweeps = [s for t in triplets for _, s in t.sweeps()]
+        assert sorted(map(id, calls)) == sorted(map(id, sweeps))
+
+    def test_copy_and_other_rn_recompute(self, film, monkeypatch):
+        calls = counted_inversions(monkeypatch)
+        tr = logistic_trace(film, n=600)
+        tc0 = extract_tc0(tr, film.rn_ohm)
+        assert extract_tc0(tr, film.rn_ohm) == tc0 and len(calls) == 1
+        # a dataclasses.replace copy starts without the kept temperatures
+        warmer = translated(tr, 1e-3)
+        assert extract_tc0(warmer, film.rn_ohm) == pytest.approx(tc0 + 1e-3, abs=1e-12)
+        assert len(calls) == 2
+        other_rn = 1.1 * film.rn_ohm
+        assert extract_tc0(tr, other_rn) != tc0 and len(calls) == 3
+        assert extract_tc0(tr, other_rn) == extract_tc0(tr, other_rn) and len(calls) == 3
+
+    def test_kept_temperatures_are_read_only(self, film):
+        tr = logistic_trace(film)
+        temps = analysis._level_temperatures(tr, film.rn_ohm)
+        np.testing.assert_array_equal(
+            temps, invert_trace(tr, default_levels(film.rn_ohm), film.rn_ohm))
+        with pytest.raises(ValueError):
+            temps[0] = 0.0
+
+    def test_cut_sweep_raises_on_every_call(self, film, monkeypatch):
+        calls = counted_inversions(monkeypatch)
+        tr = logistic_trace(film, n=400)
+        keep = tr.r_meas_ohm < 0.5 * film.rn_ohm
+        cut = make_trace(tr.t_meas_K[keep], tr.r_meas_ohm[keep])
+        for _ in range(2):
+            with pytest.raises(IncompleteTransition):
+                extract_tc0(cut, film.rn_ohm)
+        assert len(calls) == 2
 
 
 class TestInvertTrace:
@@ -382,14 +438,7 @@ class TestDriftCorrection:
             assert est.delta_t == delta_t and est.sigma_delta_t == sigma
 
     def test_inverts_each_sweep_once(self, film, monkeypatch):
-        calls = []
-        original = analysis.invert_trace
-
-        def counting(trace, r_levels, rn_ohm):
-            calls.append(trace)
-            return original(trace, r_levels, rn_ohm)
-
-        monkeypatch.setattr(analysis, "invert_trace", counting)
+        calls = counted_inversions(monkeypatch)
         cfg = default_config(noise=NoiseModel(sigma_fast_uK=20.0, seed=3), fields_mT=(7.2,))
         trip = run_triplet(cfg, "film", 7.2, 0.0)
         drift_corrected_shift(trip, film.tc0_K, rn_ohm=film.rn_ohm)

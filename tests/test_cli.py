@@ -531,6 +531,11 @@ MUTATIONS = {
         lambda d: int(np.argmax(d[:, 2] > 0.6 * 300.0)) + 1),
     "entry lacks t_start_s": _manifest_edit(_drop_t_start, named_file=1),
     "field_mT not a number": _manifest_edit(_set_entry(1, "field_mT", "7.2"), named_file=1),
+    # json writes and reads these as Infinity and NaN
+    "field_mT infinite": _manifest_edit(_set_entry(1, "field_mT", float("inf")), named_file=1),
+    "field_mT NaN": _manifest_edit(_set_entry(1, "field_mT", float("nan")), named_file=1),
+    "mid sweep applied_field_mT NaN": _manifest_edit(
+        _set_entry(1, "applied_field_mT", float("nan")), named_file=1),
     "path not a string": _manifest_edit(_set_entry(1, "path", 5)),
     "triplet out of chronological order": _manifest_edit(_swap_pre_post_times, named_file=0),
     "duplicate sweep entry": _manifest_edit(_duplicate_pre, named_file=0),
@@ -854,6 +859,13 @@ class TestAnalyzeCommand:
         fit_row = (run_dir / "analysis" / "fits.csv").read_text().splitlines()[1].split(",")
         assert float(fit_row[8]) == 6.0
         assert fit_row[9] == "1"
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_2(self, runner, run_dir, threshold):
+        result = runner.invoke(main, ["analyze", str(run_dir), "--fit-threshold-mT", threshold])
+        assert result.exit_code == 2
+        assert "--fit-threshold-mT" in result.stderr and "not a finite number" in result.stderr
+        assert not (run_dir / "analysis").exists()
 
     def test_rank_deficient_fit_exits_4(self, runner, tmp_path):
         # above 10 mT only one field is left: H^2 and H are collinear
