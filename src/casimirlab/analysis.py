@@ -1,10 +1,13 @@
 """Inverse pipeline: from measured sweeps back to the temperature-shift signal.
 
-Implements monotone trace inversion, Tc0 as the mean of T(R) over the
-resistance levels, the averaged-difference shift estimator over the
-0.2-0.8 R/RN window, triplet drift correction, the high-field parabola
-fit, the film-cavity differential signal and the repeat-based
-sensitivity estimate.
+Implements monotone trace inversion, batched over the sweeps of a
+campaign, Tc0 as the mean of T(R) over the resistance levels, the
+averaged-difference shift estimator over the 0.2-0.8 R/RN window, triplet
+drift correction, the high-field parabola fit, the film-cavity
+differential signal and the repeat-based sensitivity estimate. Each
+sweep's level temperatures are computed once and kept on the sweep
+(`_level_temperatures`); `pipeline.analyze_campaign` fills them for every
+sweep in one `invert_trace` call, and the estimators read them.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ LEVEL_CORRELATION_FACTOR = 10.0
 # RN is counted as discarded by the monotonization.
 DISCARD_TOLERANCE = 0.05
 DISCARD_LIMIT = 0.30
+
+# Sweeps of one length are inverted together in chunks of at most this many
+# points: one array of a whole campaign is slower than chunks that stay in cache.
+INVERSION_CHUNK_POINTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -109,73 +116,159 @@ class DifferentialSignal:
 
 
 def pav_increasing(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators fit: closest non-decreasing sequence to y.
+    """Pool-adjacent-violators fit: closest non-decreasing sequence to each row of y.
 
-    Unweighted L2 projection. Adjacent violating blocks always end in the
-    same pool (Best & Chakravarti, Math. Prog. 47, 1990), so each pass
-    merges every maximal run of decreasing block means at once; passes
-    repeat until no adjacent pair violates.
+    Unweighted L2 projection of each row of a 2-D (sweep, point) array on
+    its own; a 1-D y is one row. Adjacent violating blocks always end in the
+    same pool (Best & Chakravarti, Math. Prog. 47, 1990), so each pass merges
+    every maximal run of decreasing block means at once; passes repeat until
+    no adjacent pair violates.
+
+    The passes run over the span of rows that still pool: finished rows
+    before and after it are set aside. A finished row inside the span is
+    pooled block by block, which adds each sum to 0.0 and so changes none
+    but a -0.0 (to 0.0). So each row's result is bit-identical to pooling
+    that row alone, but for the sign of a zero in a row that never pooled.
     """
-    sums = np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not y.size:
+        return y.copy()
+    rows = y.reshape(1, -1) if y.ndim == 1 else y
+    n_rows, n = rows.shape
+    sums = rows.ravel()
     counts = np.ones(len(sums))
+    first, starts = 0, np.arange(n_rows) * n  # the span's first row; each row's first block
+    aside = []  # (first row, block means, block counts) of the rows set aside
     while True:
         means = sums / counts
-        drop = means[:-1] > means[1:]
-        if not drop.any():
-            return np.repeat(means, counts.astype(int))
-        labels = np.cumsum(np.concatenate(([False], ~drop)))
+        # a block starts a pool unless it is lower than the block before it in its row
+        new = np.empty(len(means), dtype=bool)
+        np.greater(means[:-1], means[1:], out=new[1:])
+        np.logical_not(new, out=new)
+        new[starts] = True
+        new[0] = False
+        labels = np.cumsum(new)
+        pools = labels[starts]
+        merged = starts - pools  # blocks merged away before each row
+        total = len(means) - 1 - int(labels[-1])
+        if not total:
+            aside.append((first, means, counts))
+            break
+        # rows a to b - 1 still pool
+        a = merged.searchsorted(0, "right") - 1
+        b = merged.searchsorted(total)
+        if a or b < len(starts):
+            lo, hi = starts[a], starts[b] if b < len(starts) else len(means)
+            aside += [(first, means[:lo], counts[:lo]), (first + b, means[hi:], counts[hi:])]
+            first += a
+            labels, sums, counts = labels[lo:hi] - labels[lo], sums[lo:hi], counts[lo:hi]
+            pools = pools[a:b] - pools[a]
+        starts = pools
         sums = np.bincount(labels, weights=sums)
         counts = np.bincount(labels, weights=counts)
+    aside.sort(key=lambda part: part[0])
+    means = np.concatenate([part[1] for part in aside])
+    counts = np.concatenate([part[2] for part in aside])
+    return np.repeat(means, counts.astype(int)).reshape(y.shape)
 
 
-def _monotone_knots(trace: SweepTrace, rn_ohm: float):
-    """Sorted, monotonized (R, T) knots for inversion.
-
-    Points are sorted by measured temperature, the resistances are pooled
-    into non-decreasing form and each pool contributes one knot at its
-    common R value and mean T.
-    """
-    t = np.asarray(trace.t_meas_K, dtype=float)
-    r = np.asarray(trace.r_meas_ohm, dtype=float)
-    order = np.argsort(t, kind="stable")
-    t, r = t[order], r[order]
+def _invert_chunk(sweeps, levels, rn_ohm: float):
+    """invert_trace of sweeps of one length: (T rows, displaced fraction, first and last knot R)."""
+    t = np.array([s.t_meas_K for s in sweeps], dtype=float)
+    r = np.array([s.r_meas_ohm for s in sweeps], dtype=float)
+    k, n = t.shape
+    order = np.argsort(t, axis=1, kind="stable")
+    t, r = np.take_along_axis(t, order, axis=1), np.take_along_axis(r, order, axis=1)
     r_fit = pav_increasing(r)
+    displaced = np.count_nonzero(np.abs(r_fit - r) > DISCARD_TOLERANCE * rn_ohm, axis=1) / n
 
-    discarded = np.count_nonzero(np.abs(r_fit - r) > DISCARD_TOLERANCE * rn_ohm) / len(r)
-    if discarded > DISCARD_LIMIT:
-        raise NonMonotonic(
-            f"monotonization displaced {discarded:.0%} of points "
-            f"in sweep {trace.sample_id} at {trace.field_mT} mT"
-        )
+    # one knot per pool: (pool R, mean T of the pool from its own row's cumsum)
+    opens = np.ones((k, n), dtype=bool)  # a point that opens a pool
+    opens[:, 1:] = np.diff(r_fit, axis=1) > 0
+    start = np.flatnonzero(opens)
+    knot_r = r_fit.ravel()[start]
+    row, begin = np.divmod(start, n)
+    end = np.append(begin[1:], n)
+    end[end == 0] = n  # a row's last pool ends at the row's end
+    sums = np.zeros((k, n + 1))
+    np.cumsum(t, axis=1, out=sums[:, 1:])
+    knot_t = (sums[row, end] - sums[row, begin]) / (end - begin)
 
-    # one knot per pool: (pool R, mean T of the pool)
-    boundaries = np.concatenate(([0], np.nonzero(np.diff(r_fit) > 0)[0] + 1, [len(r_fit)]))
-    knot_r = r_fit[boundaries[:-1]]
-    sums = np.concatenate(([0.0], np.cumsum(t)))
-    knot_t = (sums[boundaries[1:]] - sums[boundaries[:-1]]) / np.diff(boundaries)
-    return knot_r, knot_t
+    # j: each row's last knot at or below each level, as np.interp's search finds it
+    n_knots = np.bincount(row, minlength=k)
+    grid = np.sort(levels)
+    below = np.searchsorted(grid, knot_r)  # levels below each knot
+    hist = np.bincount(row * (len(grid) + 1) + below, minlength=k * (len(grid) + 1))
+    j = np.cumsum(hist.reshape(k, -1), axis=1)[:, np.searchsorted(grid, levels)] - 1
+    # np.interp's formula and branches; j < 0 only in a sweep short of the levels
+    g = np.maximum(j, 0) + (np.cumsum(n_knots) - n_knots)[:, None]
+    x = np.broadcast_to(levels, g.shape)
+    temps = knot_t[g]
+    inner = (j >= 0) & (j < n_knots[:, None] - 1) & (knot_r[g] != x)
+    g = g[inner]
+    slope = (knot_t[g + 1] - knot_t[g]) / (knot_r[g + 1] - knot_r[g])
+    temps[inner] = slope * (x[inner] - knot_r[g]) + knot_t[g]
+    return temps, displaced, r_fit[:, [0, -1]]
 
 
-def invert_trace(trace: SweepTrace, r_levels, rn_ohm: float) -> np.ndarray:
-    """T(R) at the given resistance levels, by monotone inversion.
+def invert_trace(sweeps, r_levels, rn_ohm: float) -> np.ndarray:
+    """T(R) at the given resistance levels, by monotone inversion of each sweep.
 
-    Levels must lie inside the (0.2, 0.8)*RN averaging window, and the
-    monotone knots must reach the lowest and the highest level: a sweep
-    that stops short of them raises IncompleteTransition instead of
-    reading a clamped end knot.
+    `sweeps` is one SweepTrace, which gives T in the shape of r_levels, or
+    a sequence of them, which gives one such T per sweep along a first
+    axis; a scalar level gives a scalar T. Each sweep's points are sorted
+    by measured temperature, its resistances pooled into non-decreasing form
+    (pav_increasing), and each pool gives one knot at its common R and the
+    mean T of its points; T is read off the knots with np.interp's formula.
+    Sweeps of one length are inverted together, in chunks of at most
+    INVERSION_CHUNK_POINTS points, bit-identical to inverting each alone.
+
+    Levels must lie inside the (0.2, 0.8)*RN averaging window. A sweep whose
+    pooling displaced more than DISCARD_LIMIT of its points raises
+    NonMonotonic, and one whose monotone knots do not reach the lowest and
+    the highest level raises IncompleteTransition instead of reading a
+    clamped end knot. Of several faulty sweeps, the first in the sequence
+    is named.
     """
-    levels = np.asarray(r_levels, dtype=float)
+    single = isinstance(sweeps, SweepTrace)
+    sweeps = [sweeps] if single else list(sweeps)
+    shape = np.shape(r_levels)
+    levels = np.asarray(r_levels, dtype=float).ravel()
     lo, hi = levels.min(), levels.max()
-    if lo <= WINDOW_LO * rn_ohm or hi >= WINDOW_HI * rn_ohm:
+    if not (lo > WINDOW_LO * rn_ohm and hi < WINDOW_HI * rn_ohm):  # NaN fails too
         raise ValueError("resistance levels must lie inside the (0.2, 0.8)*RN window")
-    knot_r, knot_t = _monotone_knots(trace, rn_ohm)
-    if knot_r[0] > lo or knot_r[-1] < hi:
+    temps = np.empty((len(sweeps), len(levels)))
+    displaced = np.empty(len(sweeps))
+    knot_span = np.empty((len(sweeps), 2))
+    by_length = {}
+    for i, sweep in enumerate(sweeps):
+        by_length.setdefault(len(sweep.r_meas_ohm), []).append(i)
+    for n, members in by_length.items():
+        step = max(1, INVERSION_CHUNK_POINTS // n)
+        for c in range(0, len(members), step):
+            chunk = members[c:c + step]
+            temps[chunk], displaced[chunk], knot_span[chunk] = _invert_chunk(
+                [sweeps[i] for i in chunk], levels, rn_ohm)
+
+    faulty = np.flatnonzero(
+        (displaced > DISCARD_LIMIT) | (knot_span[:, 0] > lo) | (knot_span[:, 1] < hi))
+    if len(faulty):
+        i = faulty[0]
+        trace = sweeps[i]
+        if displaced[i] > DISCARD_LIMIT:
+            raise NonMonotonic(
+                f"monotonization displaced {displaced[i]:.0%} of points "
+                f"in sweep {trace.sample_id} at {trace.field_mT} mT"
+            )
         raise IncompleteTransition(
             f"{trace.kind} sweep {trace.sample_id} at {trace.field_mT} mT starting at "
             f"{trace.t_start_s} s does not span the resistance levels: its monotone R covers "
-            f"{knot_r[0]:.6g} to {knot_r[-1]:.6g} ohm, the levels {lo:.6g} to {hi:.6g} ohm"
+            f"{knot_span[i, 0]:.6g} to {knot_span[i, 1]:.6g} ohm, the levels {lo:.6g} to "
+            f"{hi:.6g} ohm"
         )
-    return np.interp(levels, knot_r, knot_t)
+    if single:
+        return temps[0].reshape(shape)[()]
+    return temps.reshape((len(sweeps),) + shape)
 
 
 def default_levels(rn_ohm: float) -> np.ndarray:
@@ -185,21 +278,25 @@ def default_levels(rn_ohm: float) -> np.ndarray:
     return frac * rn_ohm
 
 
-def _level_temperatures(trace: SweepTrace, rn_ohm: float) -> np.ndarray:
-    """T(R) of the sweep at the default levels, inverted once per sweep and rn_ohm.
+def _level_temperatures(sweeps, rn_ohm: float) -> list:
+    """T(R) of each sweep at the default levels, inverted once per sweep and rn_ohm.
 
-    The read-only result is kept on the sweep itself, in its instance
-    __dict__ as functools.cached_property keeps a value, so that Tc0 and the
-    triplet shift share one inversion. A `dataclasses.replace` copy starts
-    without it, and another rn_ohm replaces it. A sweep that raises is not
-    kept, so it raises again on the next call.
+    The sweeps of the sequence that lack them are inverted together, in one
+    invert_trace call and in the order given, so the first faulty one is
+    named. Each read-only row is kept on its sweep, in its instance __dict__
+    as functools.cached_property keeps a value, so that Tc0 and the triplet
+    shift share one inversion. A `dataclasses.replace` copy starts without
+    it, and another rn_ohm replaces it. When a sweep raises, no row of that
+    call is kept, so the next call raises again.
     """
-    memo = trace.__dict__.get("_level_temperatures")
-    if memo is None or memo[0] != rn_ohm:
-        temps = invert_trace(trace, default_levels(rn_ohm), rn_ohm)
+    todo = {id(s): s for s in sweeps
+            if s.__dict__.get("_level_temperatures", (None,))[0] != rn_ohm}
+    if todo:
+        temps = invert_trace(list(todo.values()), default_levels(rn_ohm), rn_ohm)
         temps.flags.writeable = False
-        memo = trace.__dict__["_level_temperatures"] = (rn_ohm, temps)
-    return memo[1]
+        for sweep, row in zip(todo.values(), temps):
+            sweep.__dict__["_level_temperatures"] = (rn_ohm, row)
+    return [s.__dict__["_level_temperatures"][1] for s in sweeps]
 
 
 def extract_tc0(trace: SweepTrace, rn_ohm: float) -> float:
@@ -208,11 +305,12 @@ def extract_tc0(trace: SweepTrace, rn_ohm: float) -> float:
     The levels are symmetric about RN/2 and a logistic T(R) is antisymmetric
     about its midpoint, so for the simulator's transitions the mean is the
     midpoint exactly. On an asymmetric transition it differs from the dR/dT
-    peak; Tc0 only normalizes the shift. The level temperatures stay on the
-    sweep, and drift_corrected_shift reuses them. A sweep that does not reach
-    the levels raises IncompleteTransition, as in invert_trace.
+    peak; Tc0 only normalizes the shift. The level temperatures are read from
+    the sweep when analyze_campaign has kept them there, and are kept for
+    drift_corrected_shift otherwise. A sweep that does not reach the levels
+    raises IncompleteTransition, as in invert_trace.
     """
-    return float(_level_temperatures(trace, rn_ohm).mean())
+    return float(_level_temperatures([trace], rn_ohm)[0].mean())
 
 
 def estimate_shift(t_zero, t_field, tc0_K: float) -> tuple[float, float]:
@@ -232,13 +330,14 @@ def estimate_shift(t_zero, t_field, tc0_K: float) -> tuple[float, float]:
 def drift_corrected_shift(triplet: TripletRecord, tc0_K: float, rn_ohm: float) -> ShiftEstimate:
     """Mean of the pre-vs-mid and post-vs-mid estimates.
 
-    Each sweep is inverted at the default levels at most once: the pre and
-    post temperatures that extract_tc0 kept on the sweep are reused. For
+    Each sweep is inverted at the default levels at most once: the level
+    temperatures kept on a sweep (by analyze_campaign or extract_tc0) are
+    reused, and the sweeps that lack them are inverted in one batch. For
     drift linear in time and a symmetric triplet schedule the two one-sided
     biases are equal and opposite, so the mean is exactly drift-free;
     uncertainties combine in quadrature.
     """
-    t_pre, t_mid, t_post = (_level_temperatures(s, rn_ohm) for _, s in triplet.sweeps())
+    t_pre, t_mid, t_post = _level_temperatures([s for _, s in triplet.sweeps()], rn_ohm)
     before, sigma_before = estimate_shift(t_pre, t_mid, tc0_K)
     after, sigma_after = estimate_shift(t_post, t_mid, tc0_K)
     return ShiftEstimate(

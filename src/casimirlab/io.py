@@ -198,12 +198,26 @@ def read_manifest(run_dir) -> dict:
     return manifest
 
 
-def sweep_groups(run_dir, manifest: dict) -> list:
+def config_snapshot(run_dir, manifest: dict) -> CampaignConfig:
+    """The campaign config recorded in the manifest; a missing or bad one is a DataError."""
+    manifest_path = Path(run_dir) / MANIFEST_NAME
+    if "config" not in manifest:
+        raise DataError(f"{manifest_path}: no 'config' snapshot")
+    try:
+        return config_from_dict(manifest["config"])
+    except ConfigError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from exc
+
+
+def sweep_groups(run_dir, manifest: dict, homogeneity: float | None) -> list:
     """Group the manifest's sweep entries into triplets without reading them.
 
     Returns [((sample_id, field_mT, replication), {position: entry})] sorted
-    by key. Raises DataError for a malformed entry or a listed file that is
-    missing, and IncompleteTriplet naming the (sample, field, replication)
+    by key. Raises DataError for a malformed entry, a listed file that is
+    missing or a mid sweep whose applied_field_mT is not the one
+    simulate.run_triplet applies: the triplet's field_mT for a film, times
+    (1 + homogeneity) for a cavity (not checked when homogeneity is None).
+    Raises IncompleteTriplet naming the (sample, field, replication)
     combinations whose trio lacks members.
     """
     run_dir = Path(run_dir)
@@ -231,6 +245,15 @@ def sweep_groups(run_dir, manifest: dict) -> list:
             raise DataError(
                 f"{manifest_path}: files[{n}] ({entry['path']}) has non-finite {', '.join(bad)}"
             )
+        cavity = entry["kind"] == "cavity"
+        if entry["position"] == "mid" and not (cavity and homogeneity is None):
+            applied = entry["field_mT"] * (1.0 + homogeneity if cavity else 1.0)
+            if entry["applied_field_mT"] != applied:
+                raise DataError(
+                    f"{manifest_path}: files[{n}] ({entry['path']}) is the mid sweep of a "
+                    f"{entry['kind']} triplet at {entry['field_mT']!r} mT, so its "
+                    f"applied_field_mT must be {applied!r}, not {entry['applied_field_mT']!r}"
+                )
         path = run_dir / entry["path"]
         if not path.exists():
             raise DataError(f"manifest lists missing file {path}")
@@ -277,14 +300,9 @@ def load_dataset(run_dir):
     field, replication) combinations if any trio is missing members.
     """
     manifest = read_manifest(run_dir)
-    manifest_path = Path(run_dir) / MANIFEST_NAME
-    if "config" not in manifest:
-        raise DataError(f"{manifest_path}: no 'config' snapshot")
-    try:
-        config = config_from_dict(manifest["config"])
-    except ConfigError as exc:
-        raise DataError(f"{manifest_path}: {exc}") from exc
-    triplets = [read_triplet(run_dir, group) for group in sweep_groups(run_dir, manifest)]
+    config = config_snapshot(run_dir, manifest)
+    groups = sweep_groups(run_dir, manifest, config.homogeneity)
+    triplets = [read_triplet(run_dir, group) for group in groups]
     return config, triplets
 
 

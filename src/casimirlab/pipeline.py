@@ -15,6 +15,7 @@ import numpy as np
 from .analysis import (
     DifferentialSignal,
     FitResult,
+    _level_temperatures,
     differential_signal,
     drift_corrected_shift,
     estimate_sensitivity,
@@ -106,9 +107,16 @@ def analyze_campaign(
 
     The triplets are taken in (sample, field, replication) order, the order
     `load_dataset` returns, so the result does not depend on their order.
+    All sweeps are inverted together, in chunks (`analysis.invert_trace`);
+    of several faulty sweeps, the first zero-field sweep in that order is
+    named, or else the first in-field one.
     """
     triplets = sorted(triplets, key=lambda t: (t.sample_id, t.field_mT, t.replication))
     sample_ids = sorted({t.sample_id for t in triplets})
+    # every sweep inverted in one batch, in the order sample_tc0 and the shifts
+    # read them, so a faulty sweep is named as when each is inverted on use
+    _level_temperatures([s for t in triplets for s in (t.pre, t.post)]
+                        + [t.mid for t in triplets], rn_ohm)
     tc0 = {sid: sample_tc0(triplets, sid, rn_ohm) for sid in sample_ids}
 
     estimates = [drift_corrected_shift(t, tc0[t.sample_id], rn_ohm) for t in triplets]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .analysis import DEFAULT_N_LEVELS, field_means
-from .io import read_csv, read_manifest, read_triplet, sweep_groups, write_csv
+from .io import config_snapshot, read_csv, read_manifest, read_triplet, sweep_groups, write_csv
 from .pipeline import AnalysisResult
 
 ANALYSIS_DIR = "analysis"
@@ -147,9 +147,13 @@ def write_report(run_dir) -> Path:
     # Fig 5 style: R vs T for one film triplet, at the field closest to 7.2 mT;
     # only that triplet's sweeps are parsed
     manifest = read_manifest(run_dir)
+    try:
+        homogeneity = config_snapshot(run_dir, manifest).homogeneity
+    except DataError:  # analyze refuses such a snapshot; the report needs no other key of it
+        homogeneity = None
     film_groups = [
         ((sample, field, rep), entries)
-        for (sample, field, rep), entries in sweep_groups(run_dir, manifest)
+        for (sample, field, rep), entries in sweep_groups(run_dir, manifest, homogeneity)
         if entries["mid"]["kind"] == "film" and field != 0
     ]
     if not film_groups:

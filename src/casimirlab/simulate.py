@@ -63,8 +63,9 @@ class SweepTrace:
     tau_s, t_meas_K, r_meas_ohm are parallel arrays ordered by time.
     field_mT is the applied (signed) field; t_start_s the campaign-clock
     offset of the first point. The arrays must not be modified after
-    construction: the analysis keeps results computed from them on the
-    sweep (see analysis.extract_tc0).
+    construction: the analysis keeps the sweep's level temperatures on the
+    sweep, filled for every sweep of a campaign in one batched inversion
+    (see analysis._level_temperatures).
     """
 
     sample_id: str

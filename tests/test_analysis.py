@@ -106,6 +106,64 @@ def assert_matches_pav_reference(y):
     np.testing.assert_allclose(fit, pav_reference(y), rtol=0.0, atol=tol)
 
 
+def pav_by_passes(y):
+    """Pooling of one row by whole passes, as pav_increasing did before it took
+    2-D arrays: the bit-exact reference for each row."""
+    sums = np.asarray(y, dtype=float)
+    counts = np.ones(len(sums))
+    while True:
+        means = sums / counts
+        drop = means[:-1] > means[1:]
+        if not drop.any():
+            return np.repeat(means, counts.astype(int))
+        labels = np.cumsum(np.concatenate(([False], ~drop)))
+        sums = np.bincount(labels, weights=sums)
+        counts = np.bincount(labels, weights=counts)
+
+
+def invert_one_by_one(trace, levels, rn_ohm):
+    """T at the levels of one sweep by np.interp on its pooled knots, as
+    invert_trace computed it one sweep at a time."""
+    order = np.argsort(trace.t_meas_K, kind="stable")
+    t, r = trace.t_meas_K[order], trace.r_meas_ohm[order]
+    r_fit = pav_by_passes(r)
+    bounds = np.concatenate(([0], np.nonzero(np.diff(r_fit) > 0)[0] + 1, [len(r)]))
+    sums = np.concatenate(([0.0], np.cumsum(t)))
+    knot_t = (sums[bounds[1:]] - sums[bounds[:-1]]) / np.diff(bounds)
+    return np.interp(levels, r_fit[bounds[:-1]], knot_t)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def bits_but_zero_sign(a):
+    """bits() with -0.0 read as 0.0: a row that never pooled may lose the sign
+    of a zero when it shares a batch with rows that do."""
+    return bits(np.add(a, 0.0))
+
+
+# readings drawn from a few values tie, and include both signed zeros
+READINGS = st.floats(-10, 10) | st.sampled_from([-1.0, -0.0, 0.0, 1.0])
+
+
+@st.composite
+def row_batches(draw):
+    """(rows, n) arrays whose rows are random, constant, or a ramp whose last
+    reading lies far below the rest (one pass per pooled point)."""
+    n = draw(st.integers(1, 40))
+    rows = []
+    for shape in draw(st.lists(st.sampled_from(["random", "constant", "low last"]),
+                               min_size=1, max_size=6)):
+        if shape == "random":
+            rows.append(draw(st.lists(READINGS, min_size=n, max_size=n)))
+        elif shape == "constant":
+            rows.append([draw(READINGS)] * n)
+        else:
+            rows.append(np.append(np.linspace(0.0, 1.0, n - 1), -1e3))
+    return np.array(rows, dtype=float)
+
+
 class TestPav:
     def test_identity_on_monotone(self):
         y = np.linspace(0, 1, 50)
@@ -142,6 +200,27 @@ class TestPav:
         # pool means preserve the overall mean
         assert np.mean(fit) == pytest.approx(np.mean(y), abs=1e-9)
         assert_matches_pav_reference(y)
+
+    @given(row_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_pool_as_alone(self, rows):
+        fit = pav_increasing(rows)
+        assert fit.shape == rows.shape
+        alone = [pav_by_passes(row) for row in rows]
+        np.testing.assert_array_equal(bits_but_zero_sign(fit), bits_but_zero_sign(alone))
+        # a 1-D array is one row, pooled as before
+        for row, expected in zip(rows, alone):
+            np.testing.assert_array_equal(bits(pav_increasing(row)), bits(expected))
+
+    def test_long_pooling_row_among_finished_rows(self):
+        # like an R = 0 dropout, the zeroed last reading of row 3 pools for 45
+        # passes; the noisy rows around it finish within 2
+        rng = np.random.default_rng(4)
+        rows = np.linspace(0.0, 1.0, 1200) + rng.normal(0.0, 5e-4, (7, 1200))
+        rows[3, -1] = 0.0
+        fit = pav_increasing(rows)
+        np.testing.assert_array_equal(bits_but_zero_sign(fit),
+                                      bits_but_zero_sign([pav_by_passes(row) for row in rows]))
 
 
 class TestExtractTc0:
@@ -192,14 +271,25 @@ class TestExtractTc0:
         assert np.percentile(errs, 95) < 10e-6
 
 
+class Inversions(list):
+    """The sweeps that analysis.invert_trace is called on, in call order;
+    `batches` holds the sweeps of each call."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+
 def counted_inversions(monkeypatch):
-    """The sweeps that analysis.invert_trace is called on, in call order."""
-    calls = []
+    """Record every sweep of each analysis.invert_trace call, a sequence's too."""
+    calls = Inversions()
     original = analysis.invert_trace
 
-    def counting(trace, r_levels, rn_ohm):
-        calls.append(trace)
-        return original(trace, r_levels, rn_ohm)
+    def counting(sweeps, r_levels, rn_ohm):
+        batch = [sweeps] if isinstance(sweeps, SweepTrace) else list(sweeps)
+        calls.extend(batch)
+        calls.batches.append(batch)
+        return original(sweeps, r_levels, rn_ohm)
 
     monkeypatch.setattr(analysis, "invert_trace", counting)
     return calls
@@ -215,6 +305,37 @@ class TestLevelTemperatures:
         analyze_campaign(triplets, rn_ohm=cfg.film.rn_ohm)
         sweeps = [s for t in triplets for _, s in t.sweeps()]
         assert sorted(map(id, calls)) == sorted(map(id, sweeps))
+        assert len(calls.batches) == 1
+
+    def test_first_faulty_sweep_in_visiting_order_is_named(self):
+        # Tc0 reads each sample's zero-field sweeps (cav01 before film01), then
+        # the shifts read the mids: a cut film mid is named only when no
+        # zero-field sweep is faulty
+        cfg = default_config(fields_mT=(2.0, 5.0, 7.2, 9.0, 10.0), points_per_sweep=300)
+
+        def cut(sweep):
+            keep = sweep.r_meas_ohm < 0.5 * cfg.film.rn_ohm
+            return dataclasses.replace(sweep, tau_s=sweep.tau_s[keep],
+                                       t_meas_K=sweep.t_meas_K[keep],
+                                       r_meas_ohm=sweep.r_meas_ohm[keep])
+
+        def message(sweep):
+            with pytest.raises(IncompleteTransition) as exc:
+                invert_trace(sweep, default_levels(cfg.film.rn_ohm), cfg.film.rn_ohm)
+            return str(exc.value)
+
+        triplets = run_campaign(cfg)
+        film_mid = next(i for i, t in enumerate(triplets) if t.kind == "film")
+        cavity_post = max(i for i, t in enumerate(triplets) if t.kind == "cavity")
+        for cuts, named in [([(film_mid, "mid")], (film_mid, "mid")),
+                            ([(film_mid, "mid"), (cavity_post, "post")], (cavity_post, "post"))]:
+            damaged = list(triplets)
+            for i, position in cuts:
+                damaged[i] = dataclasses.replace(
+                    damaged[i], **{position: cut(getattr(damaged[i], position))})
+            with pytest.raises(IncompleteTransition) as exc:
+                analyze_campaign(damaged, rn_ohm=cfg.film.rn_ohm)
+            assert str(exc.value) == message(getattr(damaged[named[0]], named[1]))
 
     def test_copy_and_other_rn_recompute(self, film, monkeypatch):
         calls = counted_inversions(monkeypatch)
@@ -231,7 +352,7 @@ class TestLevelTemperatures:
 
     def test_kept_temperatures_are_read_only(self, film):
         tr = logistic_trace(film)
-        temps = analysis._level_temperatures(tr, film.rn_ohm)
+        [temps] = analysis._level_temperatures([tr], film.rn_ohm)
         np.testing.assert_array_equal(
             temps, invert_trace(tr, default_levels(film.rn_ohm), film.rn_ohm))
         with pytest.raises(ValueError):
@@ -266,8 +387,9 @@ class TestInvertTrace:
 
     def test_levels_outside_window_rejected(self, film):
         tr = logistic_trace(film)
-        with pytest.raises(ValueError):
-            invert_trace(tr, [0.1 * film.rn_ohm], film.rn_ohm)
+        for levels in ([0.1 * film.rn_ohm], [0.5 * film.rn_ohm, math.nan]):
+            with pytest.raises(ValueError):
+                invert_trace(tr, levels, film.rn_ohm)
 
     def test_sweep_short_of_the_levels_rejected(self, film):
         # a clamped end knot would read T at the sweep's end, not at the level
@@ -293,6 +415,41 @@ class TestInvertTrace:
             analytic = film.tc0_K + w_e * np.log(levels / (film.rn_ohm - levels))
             devs.append(np.mean(np.abs(t_at - analytic)))
         assert np.mean(devs) < sigma_uK * 1e-6
+
+    def test_sequence_matches_one_by_one(self):
+        # the 300-point sweeps fill more than one chunk; mid sweeps cut just past
+        # the top level share a length of their own, and their last knots enter
+        # the interpolation
+        cfg = default_config(points_per_sweep=300, replications=2,
+                             fields_mT=(2.0, 5.0, 7.2, 9.0, 10.0))
+        short = [s for t in run_campaign(cfg) for _, s in t.sweeps()]
+        long_triplets = run_campaign(default_config(fields_mT=(2.0, 7.2)))
+        long = [s for t in long_triplets for _, s in t.sweeps()]
+        keep = slice(0, int(np.argmax(long[1].r_meas_ohm > 0.8 * 300.0)) + 1)
+        cut = [SweepTrace(t.mid.sample_id, t.mid.kind, t.mid.field_mT, t.mid.t_start_s,
+                          t.mid.tau_s[keep], t.mid.t_meas_K[keep], t.mid.r_meas_ohm[keep])
+               for t in long_triplets]
+        sweeps = short[:7] + cut[:2] + short[7:30] + long + cut[2:] + short[30:]
+        assert len({len(s.t_meas_K) for s in sweeps}) == 3
+        assert sum(len(s.t_meas_K) == 300 for s in sweeps) * 300 > analysis.INVERSION_CHUNK_POINTS
+        levels = default_levels(300.0)
+        temps = invert_trace(sweeps, levels, 300.0)
+        assert temps.shape == (len(sweeps), len(levels))
+        expected = [invert_one_by_one(s, levels, 300.0) for s in sweeps]
+        np.testing.assert_array_equal(bits(temps), bits(expected))
+        for sweep, row in zip(sweeps, temps):
+            np.testing.assert_array_equal(bits(invert_trace(sweep, levels, 300.0)), bits(row))
+
+    def test_levels_keep_their_shape(self, film):
+        tr = logistic_trace(film)
+        levels = default_levels(film.rn_ohm)
+        row = invert_trace(tr, levels, film.rn_ohm)
+        scalar = invert_trace(tr, levels[7], film.rn_ohm)
+        assert np.ndim(scalar) == 0 and bits(scalar) == bits(row[7])
+        grid = invert_trace(tr, levels.reshape(5, 10), film.rn_ohm)
+        np.testing.assert_array_equal(bits(grid), bits(row.reshape(5, 10)))
+        batch = invert_trace([tr, tr], levels[7], film.rn_ohm)
+        np.testing.assert_array_equal(bits(batch), bits(row[[7, 7]]))
 
     def test_garbage_trace_rejected(self, film):
         t = np.linspace(film.tc0_K - 5e-3, film.tc0_K + 5e-3, 200)

@@ -536,6 +536,9 @@ MUTATIONS = {
     "field_mT NaN": _manifest_edit(_set_entry(1, "field_mT", float("nan")), named_file=1),
     "mid sweep applied_field_mT NaN": _manifest_edit(
         _set_entry(1, "applied_field_mT", float("nan")), named_file=1),
+    # files[1] is a film mid sweep, simulated at its triplet's field
+    "mid sweep at another field": _manifest_edit(
+        _set_entry(1, "applied_field_mT", -40.0), named_file=1),
     "path not a string": _manifest_edit(_set_entry(1, "path", 5)),
     "triplet out of chronological order": _manifest_edit(_swap_pre_post_times, named_file=0),
     "duplicate sweep entry": _manifest_edit(_duplicate_pre, named_file=0),
@@ -586,6 +589,23 @@ class TestMalformedInput:
         assert isinstance(result.exception, SystemExit)
         assert "data error" in result.stderr
         assert victim in result.stderr
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    @pytest.mark.parametrize("kind", ["film", "cavity"])
+    def test_mid_sweep_at_another_field_exits_3(self, runner, run_dir, command, kind):
+        run_ok(runner, ["analyze", str(run_dir)])  # report reads the analysis outputs
+        manifest = read_manifest(run_dir)
+        n, entry = next((n, e) for n, e in enumerate(manifest["files"])
+                        if (e["kind"], e["position"]) == (kind, "mid"))
+        # a cavity mid sweep is simulated at field_mT * (1 + homogeneity)
+        applied = {"film": -40.0, "cavity": entry["field_mT"]}[kind]
+        expected = entry["applied_field_mT"]
+        entry["applied_field_mT"] = applied
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        result = runner.invoke(main, [command, str(run_dir)])
+        assert result.exit_code == 3, result.output
+        assert f"files[{n}] ({entry['path']})" in result.stderr
+        assert f"must be {expected!r}, not {applied!r}" in result.stderr
 
     def test_non_finite_message_names_row_and_column(self, runner, run_dir):
         victim = run_dir / read_manifest(run_dir)["files"][2]["path"]
