@@ -173,7 +173,10 @@ def pav_increasing(y: np.ndarray) -> np.ndarray:
 
 
 def _invert_chunk(sweeps, levels, rn_ohm: float):
-    """invert_trace of sweeps of one length: (T rows, displaced fraction, first and last knot R)."""
+    """invert_trace of sweeps of one length: (T rows, displaced fraction, first and last knot R).
+
+    The rows are sorted and pooled together, then read off their own knots by np.interp.
+    """
     t = np.array([s.t_meas_K for s in sweeps], dtype=float)
     r = np.array([s.r_meas_ohm for s in sweeps], dtype=float)
     k, n = t.shape
@@ -194,21 +197,10 @@ def _invert_chunk(sweeps, levels, rn_ohm: float):
     np.cumsum(t, axis=1, out=sums[:, 1:])
     knot_t = (sums[row, end] - sums[row, begin]) / (end - begin)
 
-    # j: each row's last knot at or below each level, as np.interp's search finds it
-    n_knots = np.bincount(row, minlength=k)
-    grid = np.sort(levels)
-    below = np.searchsorted(grid, knot_r)  # levels below each knot
-    hist = np.bincount(row * (len(grid) + 1) + below, minlength=k * (len(grid) + 1))
-    j = np.cumsum(hist.reshape(k, -1), axis=1)[:, np.searchsorted(grid, levels)] - 1
-    # np.interp's formula and branches; j < 0 only in a sweep short of the levels
-    g = np.maximum(j, 0) + (np.cumsum(n_knots) - n_knots)[:, None]
-    x = np.broadcast_to(levels, g.shape)
-    temps = knot_t[g]
-    inner = (j >= 0) & (j < n_knots[:, None] - 1) & (knot_r[g] != x)
-    g = g[inner]
-    slope = (knot_t[g + 1] - knot_t[g]) / (knot_r[g + 1] - knot_r[g])
-    temps[inner] = slope * (x[inner] - knot_r[g]) + knot_t[g]
-    return temps, displaced, r_fit[:, [0, -1]]
+    splits = np.flatnonzero(np.diff(row)) + 1
+    temps = [np.interp(levels, r_knots, t_knots)
+             for r_knots, t_knots in zip(np.split(knot_r, splits), np.split(knot_t, splits))]
+    return np.array(temps), displaced, r_fit[:, [0, -1]]
 
 
 def invert_trace(sweeps, r_levels, rn_ohm: float) -> np.ndarray:
@@ -219,7 +211,7 @@ def invert_trace(sweeps, r_levels, rn_ohm: float) -> np.ndarray:
     axis; a scalar level gives a scalar T. Each sweep's points are sorted
     by measured temperature, its resistances pooled into non-decreasing form
     (pav_increasing), and each pool gives one knot at its common R and the
-    mean T of its points; T is read off the knots with np.interp's formula.
+    mean T of its points; T is read off the knots with np.interp, row by row.
     Sweeps of one length are inverted together, in chunks of at most
     INVERSION_CHUNK_POINTS points, bit-identical to inverting each alone.
 
@@ -391,22 +383,14 @@ def fit_parabola(
         raise SingularFit("design matrix is rank deficient (degenerate field values)")
     xtwy = x.T @ (w * y)
     beta = np.linalg.solve(xtwx, xtwy)
-    cov_small = np.linalg.inv(xtwx)
-
-    resid = y - x @ beta
-    rms = float(np.sqrt(np.mean(resid**2)))
     cov = np.zeros((2, 2))
-    if include_linear:
-        a, b = beta
-        cov[:, :] = cov_small
-    else:
-        a, b = beta[0], 0.0
-        cov[0, 0] = cov_small[0, 0]
+    cov[:len(beta), :len(beta)] = np.linalg.inv(xtwx)
+    a, b = np.append(beta, 0.0)[:2]
     return FitResult(
         a=float(a),
         b=float(b),
         covariance=cov,
-        rms_residual=rms,
+        rms_residual=float(np.sqrt(np.mean((y - x @ beta) ** 2))),
         n_points=len(sel),
         field_threshold_mT=field_threshold_mT,
         include_linear=include_linear,

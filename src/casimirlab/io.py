@@ -198,25 +198,14 @@ def read_manifest(run_dir) -> dict:
     return manifest
 
 
-def config_snapshot(run_dir, manifest: dict) -> CampaignConfig:
-    """The campaign config recorded in the manifest; a missing or bad one is a DataError."""
-    manifest_path = Path(run_dir) / MANIFEST_NAME
-    if "config" not in manifest:
-        raise DataError(f"{manifest_path}: no 'config' snapshot")
-    try:
-        return config_from_dict(manifest["config"])
-    except ConfigError as exc:
-        raise DataError(f"{manifest_path}: {exc}") from exc
-
-
-def sweep_groups(run_dir, manifest: dict, homogeneity: float | None) -> list:
+def sweep_groups(run_dir, manifest: dict, homogeneity: float) -> list:
     """Group the manifest's sweep entries into triplets without reading them.
 
     Returns [((sample_id, field_mT, replication), {position: entry})] sorted
     by key. Raises DataError for a malformed entry, a listed file that is
     missing or a mid sweep whose applied_field_mT is not the one
     simulate.run_triplet applies: the triplet's field_mT for a film, times
-    (1 + homogeneity) for a cavity (not checked when homogeneity is None).
+    (1 + homogeneity) for a cavity.
     Raises IncompleteTriplet naming the (sample, field, replication)
     combinations whose trio lacks members.
     """
@@ -245,9 +234,8 @@ def sweep_groups(run_dir, manifest: dict, homogeneity: float | None) -> list:
             raise DataError(
                 f"{manifest_path}: files[{n}] ({entry['path']}) has non-finite {', '.join(bad)}"
             )
-        cavity = entry["kind"] == "cavity"
-        if entry["position"] == "mid" and not (cavity and homogeneity is None):
-            applied = entry["field_mT"] * (1.0 + homogeneity if cavity else 1.0)
+        if entry["position"] == "mid":
+            applied = entry["field_mT"] * (1.0 + homogeneity if entry["kind"] == "cavity" else 1.0)
             if entry["applied_field_mT"] != applied:
                 raise DataError(
                     f"{manifest_path}: files[{n}] ({entry['path']}) is the mid sweep of a "
@@ -292,18 +280,28 @@ def read_triplet(run_dir, group) -> TripletRecord:
         raise DataError(f"{paths}: {exc}") from exc
 
 
+def open_run(run_dir):
+    """(config, sweep_groups) of a run: its manifest, config snapshot and sweep entries checked."""
+    manifest = read_manifest(run_dir)
+    manifest_path = Path(run_dir) / MANIFEST_NAME
+    if "config" not in manifest:
+        raise DataError(f"{manifest_path}: no 'config' snapshot")
+    try:
+        config = config_from_dict(manifest["config"])
+    except ConfigError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from exc
+    return config, sweep_groups(run_dir, manifest, config.homogeneity)
+
+
 def load_dataset(run_dir):
-    """Read a simulated dataset back from disk.
+    """Read a simulated dataset back from disk: open_run, then every sweep file.
 
     Returns (config, triplets), the triplets sorted by (sample, field,
     replication). Raises IncompleteTriplet naming the offending (sample,
     field, replication) combinations if any trio is missing members.
     """
-    manifest = read_manifest(run_dir)
-    config = config_snapshot(run_dir, manifest)
-    groups = sweep_groups(run_dir, manifest, config.homogeneity)
-    triplets = [read_triplet(run_dir, group) for group in groups]
-    return config, triplets
+    config, groups = open_run(run_dir)
+    return config, [read_triplet(run_dir, group) for group in groups]
 
 
 def normalized_manifest_bytes(run_dir) -> bytes:

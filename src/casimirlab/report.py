@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .analysis import DEFAULT_N_LEVELS, field_means
-from .io import config_snapshot, read_csv, read_manifest, read_triplet, sweep_groups, write_csv
+from .io import open_run, read_csv, read_triplet, write_csv
 from .pipeline import AnalysisResult
 
 ANALYSIS_DIR = "analysis"
@@ -146,14 +146,10 @@ def write_report(run_dir) -> Path:
 
     # Fig 5 style: R vs T for one film triplet, at the field closest to 7.2 mT;
     # only that triplet's sweeps are parsed
-    manifest = read_manifest(run_dir)
-    try:
-        homogeneity = config_snapshot(run_dir, manifest).homogeneity
-    except DataError:  # analyze refuses such a snapshot; the report needs no other key of it
-        homogeneity = None
+    config, groups = open_run(run_dir)
     film_groups = [
         ((sample, field, rep), entries)
-        for (sample, field, rep), entries in sweep_groups(run_dir, manifest, homogeneity)
+        for (sample, field, rep), entries in groups
         if entries["mid"]["kind"] == "film" and field != 0
     ]
     if not film_groups:
@@ -174,8 +170,7 @@ def write_report(run_dir) -> Path:
     )
 
     # Fig 4 style: per-kind recovered shift curves, thermal campaigns only
-    config = manifest.get("config")
-    if isinstance(config, dict) and "thermal" in config:
+    if config.thermal is not None:
         rows = []
         for kind in ("film", "cavity"):
             sel = shifts["kind"] == kind

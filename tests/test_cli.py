@@ -568,6 +568,9 @@ MUTATIONS = {
     "manifest not text": _manifest_not_text,
     "manifest a directory": _manifest_a_directory,
 }
+# the mutations that leave the sweep entries intact and break only the config snapshot
+SNAPSHOT_MUTATIONS = [m for m in MUTATIONS
+                      if m == "no config snapshot" or m.startswith("snapshot ")]
 
 
 class TestMalformedInput:
@@ -606,6 +609,15 @@ class TestMalformedInput:
         assert result.exit_code == 3, result.output
         assert f"files[{n}] ({entry['path']})" in result.stderr
         assert f"must be {expected!r}, not {applied!r}" in result.stderr
+
+    @pytest.mark.parametrize("mutation", SNAPSHOT_MUTATIONS)
+    def test_report_exits_3_on_bad_snapshot(self, runner, run_dir, mutation):
+        run_ok(runner, ["analyze", str(run_dir)])  # report reads the analysis outputs
+        victim = MUTATIONS[mutation](run_dir)
+        result = runner.invoke(main, ["report", str(run_dir)])
+        assert result.exit_code == 3, result.output
+        assert "data error" in result.stderr
+        assert victim in result.stderr
 
     def test_non_finite_message_names_row_and_column(self, runner, run_dir):
         victim = run_dir / read_manifest(run_dir)["files"][2]["path"]
@@ -734,11 +746,15 @@ class TestRandomMutations:
             run_dir = Path(tmp) / "run"
             shutil.copytree(analyzed_run, run_dir)
             _apply_random_mutation(run_dir, kind, args)
+            codes = {}
             for command in ("report", "analyze"):
                 result = runner.invoke(main, [command, str(run_dir), "--quiet"])
                 assert result.exit_code in (0, 2, 3, 4), (command, args, result.output)
                 assert result.exception is None or isinstance(result.exception, SystemExit), (
                     command, args, result.exc_info)
+                codes[command] = result.exit_code
+            if kind == "corrupt snapshot":  # both commands parse it through io.open_run
+                assert codes["report"] == codes["analyze"], (args, result.output)
             if result.exit_code == 0:  # analyze wrote finite shifts
                 read_csv(run_dir / "analysis" / "shifts.csv", SHIFTS_COLUMNS, ("sample_id", "kind"))
 
