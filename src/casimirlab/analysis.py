@@ -29,7 +29,6 @@ WINDOW_LO = 0.2
 WINDOW_HI = 0.8
 
 DEFAULT_N_LEVELS = 50  # resistance levels of the shift estimate
-DIFF_GRID_POINTS = 241  # field grid of the differential signal
 
 # Adjacent resistance levels reuse the same noisy points, so the per-level
 # differences are correlated; the effective sample size is reduced by this
@@ -99,7 +98,7 @@ class FitResult:
 
 @dataclass(frozen=True)
 class DifferentialSignal:
-    """Film-fit minus cavity-data gap on a field grid, in uK."""
+    """Film-fit minus cavity-data gap at each measured cavity field (ascending), in uK."""
 
     field_mT: np.ndarray
     gap_uK: np.ndarray
@@ -421,15 +420,14 @@ def field_means(field_mT, y, sigma):
 
 
 def differential_signal(film_fit: FitResult, cavity_estimates, tc0_K: float) -> DifferentialSignal:
-    """Gap between the film parabola and the interpolated cavity data, in uK.
+    """Gap between the film parabola and the cavity data at each measured cavity field, in uK.
 
-    The cavity curve is taken non-parametrically: per-field weighted means,
-    linearly interpolated, so the analysis makes no assumption about the
-    cavity model. Per-point uncertainty combines the fit covariance with the
-    interpolated estimate variance.
+    The cavity curve is its per-field weighted means (`field_means`), so the
+    analysis assumes no cavity model; each field's uncertainty combines the
+    fit covariance with the variance of its mean. No field between two
+    measured ones has a larger gap: for a film fit a*H^2 + b*H with a > 0,
+    the gap to a straight line between them is convex.
     """
-    if len(cavity_estimates) < 2:
-        raise InsufficientData("differential signal needs >= 2 cavity estimates")
     fields, cav_dt, cav_var = field_means(
         [e.field_mT for e in cavity_estimates],
         [e.delta_t for e in cavity_estimates],
@@ -437,20 +435,17 @@ def differential_signal(film_fit: FitResult, cavity_estimates, tc0_K: float) -> 
     )
     if len(fields) < 2:
         raise InsufficientData("differential signal needs >= 2 distinct fields")
-    grid = np.linspace(fields.min(), fields.max(), DIFF_GRID_POINTS)
-    dt_cav = np.interp(grid, fields, cav_dt)
-    var_cav = np.interp(grid, fields, cav_var)
 
     scale = tc0_K * 1e6
-    gap = (film_fit.predict(grid) - dt_cav) * scale
-    sigma = np.sqrt(film_fit.predict_var(grid) + var_cav) * scale
+    gap = (film_fit.predict(fields) - cav_dt) * scale
+    sigma = np.sqrt(film_fit.predict_var(fields) + cav_var) * scale
     imax = int(np.argmax(gap))
     return DifferentialSignal(
-        field_mT=grid,
+        field_mT=fields,
         gap_uK=gap,
         sigma_uK=sigma,
         max_gap_uK=float(gap[imax]),
-        field_at_max_mT=float(grid[imax]),
+        field_at_max_mT=float(fields[imax]),
         sigma_at_max_uK=float(sigma[imax]),
     )
 

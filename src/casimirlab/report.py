@@ -118,8 +118,6 @@ def write_report(run_dir) -> Path:
     for name in ("shifts.csv", "fits.csv"):
         if not (analysis / name).exists():
             raise DataError(f"missing analysis output {analysis / name}; run analyze first")
-    out = run_dir / REPORT_DIR
-    out.mkdir(exist_ok=True)
 
     shifts = read_csv(analysis / "shifts.csv", SHIFTS_COLUMNS, ("sample_id", "kind"))
     fits = read_csv(analysis / "fits.csv", FITS_COLUMNS, ("sample_id",))
@@ -142,7 +140,7 @@ def write_report(run_dir) -> Path:
     zeros = [0.0] * FIT_CURVE_POINTS
     rows += zip(["fit"] * FIT_CURVE_POINTS, h.tolist(), dt.tolist(), zeros,
                 (dt * tc0_K * 1e6).tolist(), zeros)
-    write_csv(out / "fig_parabola.csv", ("series", *columns), rows)
+    tables = {"fig_parabola.csv": (("series", *columns), rows)}
 
     # Fig 5 style: R vs T for one film triplet, at the field closest to 7.2 mT;
     # only that triplet's sweeps are parsed
@@ -163,11 +161,7 @@ def write_report(run_dir) -> Path:
         n = trace.n_points
         rows += zip([position] * n, [trace.field_mT] * n, trace.tau_s.tolist(),
                     trace.t_meas_K.tolist(), trace.r_meas_ohm.tolist())
-    write_csv(
-        out / "fig_triplet.csv",
-        ("position", "field_mT", "tau_s", "T_meas_K", "R_meas_ohm"),
-        rows,
-    )
+    tables["fig_triplet.csv"] = (("position", "field_mT", "tau_s", "T_meas_K", "R_meas_ohm"), rows)
 
     # Fig 4 style: per-kind recovered shift curves, thermal campaigns only
     if config.thermal is not None:
@@ -178,5 +172,11 @@ def write_report(run_dir) -> Path:
                 shifts["field_mT"][sel], shifts["shift_uK"][sel], shifts["sigma_uK"][sel]
             )
             rows += [(kind, *row) for row in zip(fields, means, np.sqrt(variances))]
-        write_csv(out / "fig_thermal.csv", ("kind", "field_mT", "shift_uK", "sigma_uK"), rows)
+        tables["fig_thermal.csv"] = (("kind", "field_mT", "shift_uK", "sigma_uK"), rows)
+
+    # written only once every table is built, so a run that fails a check writes nothing
+    out = run_dir / REPORT_DIR
+    out.mkdir(exist_ok=True)
+    for name, (columns, rows) in tables.items():
+        write_csv(out / name, columns, rows)
     return out

@@ -28,6 +28,7 @@ from casimirlab import analysis
 from casimirlab.analysis import (
     LEVEL_CORRELATION_FACTOR,
     default_levels,
+    field_means,
     pav_increasing,
 )
 from casimirlab.config import default_config
@@ -702,10 +703,29 @@ class TestDifferentialAndSensitivity:
     def test_signal_detected(self):
         res = self.run_small_campaign(7.0, seed=11)
         d = res.differential
-        # max-over-grid is positively biased by the per-field noise, so the
-        # band is wider than the true 6.85 uK plateau
+        # the maximum over the measured fields is positively biased by the
+        # per-field noise, so the band is wider than the true 6.85 uK plateau
         assert 4.0 < d.max_gap_uK < 12.0
         assert d.significance > 2.0
+
+    @staticmethod
+    def grid_max_gap_uK(res):
+        """Largest gap on a 241-point field grid, the cavity means interpolated between fields."""
+        cavity = [e for e in res.estimates if e.kind == "cavity"]
+        fields, cav_dt, _ = field_means([e.field_mT for e in cavity], [e.delta_t for e in cavity],
+                                        [e.sigma_delta_t for e in cavity])
+        grid = np.linspace(fields.min(), fields.max(), 241)
+        tc0_K = res.tc0_K[res.film_estimates()[0].sample_id]
+        return float(np.max((res.film_fit.predict(grid) - np.interp(grid, fields, cav_dt))
+                            * tc0_K * 1e6))
+
+    @pytest.mark.parametrize("shift_max, seed", [(7.0, 11), (7.0, 12), (7.0, 13), (0.0, 21)])
+    def test_grid_finds_no_larger_gap(self, shift_max, seed):
+        res = self.run_small_campaign(shift_max, seed=seed)
+        d = res.differential
+        assert res.film_fit.a > 0
+        assert self.grid_max_gap_uK(res) <= d.max_gap_uK + 1e-9
+        assert d.field_at_max_mT in {e.field_mT for e in res.estimates if e.kind == "cavity"}
 
     def test_sensitivity_identical_repeats(self, film):
         e = ShiftEstimate(7.2, 5e-5, 1e-6, "film01")

@@ -39,7 +39,7 @@ from casimirlab.io import (
     write_sweep_csv,
 )
 from casimirlab.physics import cavity_shift, delta_t_of_field
-from casimirlab.report import FITS_COLUMNS, SHIFTS_COLUMNS
+from casimirlab.report import DIFFERENTIAL_COLUMNS, FITS_COLUMNS, SHIFTS_COLUMNS
 from casimirlab.simulate import SweepTrace
 
 SMALL_CONFIG = """
@@ -618,6 +618,7 @@ class TestMalformedInput:
         assert result.exit_code == 3, result.output
         assert "data error" in result.stderr
         assert victim in result.stderr
+        assert not (run_dir / "report").exists()
 
     def test_non_finite_message_names_row_and_column(self, runner, run_dir):
         victim = run_dir / read_manifest(run_dir)["files"][2]["path"]
@@ -800,7 +801,7 @@ def configured_shift_uK(config, h_mT):
 class TestEndToEndExactness:
     """Noiseless campaign, linear drift: at each measured cavity field the film fit
     minus the per-field cavity mean is the configured shift, in process and from
-    the files `analyze` writes."""
+    the files `analyze` writes; the differential signal holds exactly those gaps."""
 
     BOUND_UK = 1e-6
 
@@ -816,6 +817,12 @@ class TestEndToEndExactness:
         gap = (predict(fields) - cavity_mean) * tc0_K * 1e6
         return np.abs(gap - [configured_shift_uK(config, h) for h in fields])
 
+    @classmethod
+    def check_differential(cls, config, cavity_fields, field_mT, gap_uK):
+        assert field_mT.tolist() == sorted(set(cavity_fields))
+        errors = np.abs(gap_uK - [configured_shift_uK(config, h) for h in field_mT])
+        assert np.max(errors) < cls.BOUND_UK
+
     def test_in_process(self, tmp_path, config_text):
         path = tmp_path / "c.ini"
         path.write_text(config_text)
@@ -828,6 +835,8 @@ class TestEndToEndExactness:
             [e.sigma_delta_t for e in cavity])
         assert len(errors) == len(config.fields_mT)
         assert np.max(errors) < self.BOUND_UK
+        d = result.differential
+        self.check_differential(config, [e.field_mT for e in cavity], d.field_mT, d.gap_uK)
 
     def test_through_cli(self, runner, tmp_path, config_text):
         out = simulate_run(runner, tmp_path, config_text)
@@ -845,6 +854,9 @@ class TestEndToEndExactness:
             shifts["delta_t"][cavity], shifts["sigma_delta_t"][cavity])
         assert len(errors) == len(config.fields_mT)
         assert np.max(errors) < self.BOUND_UK
+        diff = read_csv(analysis / "differential.csv", DIFFERENTIAL_COLUMNS)
+        self.check_differential(config, shifts["field_mT"][cavity].tolist(),
+                                diff["field_mT"], diff["gap_uK"])
 
 
 class TestAnalyzeCommand:
@@ -1092,6 +1104,15 @@ class TestReportCommand:
         result = runner.invoke(main, ["report", str(plus_minus_run)])
         assert result.exit_code == 3
         assert victim.name in result.stderr
+        assert not (plus_minus_run / "report").exists()
+
+    def test_corrupt_plotted_sweep_exits_3_writing_nothing(self, runner, plus_minus_run):
+        victim = plus_minus_run / "sweeps" / "film01_film_m0007200uT_rep000_mid.npy"
+        _edit_array(_set_element(3, 1, np.nan))(victim)
+        result = runner.invoke(main, ["report", str(plus_minus_run)])
+        assert result.exit_code == 3
+        assert victim.name in result.stderr
+        assert not (plus_minus_run / "report").exists()
 
     def test_corrupt_unplotted_sweep_not_parsed_by_report(self, runner, plus_minus_run):
         victim = plus_minus_run / "sweeps" / "cav01_cavity_p0002000uT_rep001_post.npy"
