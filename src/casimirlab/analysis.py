@@ -203,31 +203,27 @@ def _invert_chunk(sweeps, levels, rn_ohm: float):
 
 
 def invert_trace(sweeps, r_levels, rn_ohm: float) -> np.ndarray:
-    """T(R) at the given resistance levels, by monotone inversion of each sweep.
+    """T(R) of each sweep at the levels: a (sweep, level) array, by monotone inversion.
 
-    `sweeps` is one SweepTrace, which gives T in the shape of r_levels, or
-    a sequence of them, which gives one such T per sweep along a first
-    axis; a scalar level gives a scalar T. Each sweep's points are sorted
-    by measured temperature, its resistances pooled into non-decreasing form
-    (pav_increasing), and each pool gives one knot at its common R and the
-    mean T of its points; T is read off the knots with np.interp, row by row.
+    `sweeps` is a sequence of SweepTraces and r_levels a 1-D array. Each
+    sweep's points are sorted by measured temperature, its resistances
+    pooled into non-decreasing form (pav_increasing), and each pool gives
+    one knot at its common R and the mean T of its points; T is read off the
+    knots with np.interp, row by row.
     Sweeps of one length are inverted together, in chunks of at most
     INVERSION_CHUNK_POINTS points, bit-identical to inverting each alone.
 
-    Levels must lie inside the (0.2, 0.8)*RN averaging window. A sweep whose
-    pooling displaced more than DISCARD_LIMIT of its points raises
-    NonMonotonic, and one whose monotone knots do not reach the lowest and
-    the highest level raises IncompleteTransition instead of reading a
-    clamped end knot. Of several faulty sweeps, the first in the sequence
-    is named.
+    A level outside the (0.2, 0.8)*RN averaging window, a NaN level or an
+    r_levels that is not 1-D raises ValueError. A sweep whose pooling
+    displaced more than DISCARD_LIMIT of its points raises NonMonotonic, and
+    one whose monotone knots do not reach the lowest and the highest level
+    raises IncompleteTransition instead of reading a clamped end knot. Of
+    several faulty sweeps, the first in the sequence is named.
     """
-    single = isinstance(sweeps, SweepTrace)
-    sweeps = [sweeps] if single else list(sweeps)
-    shape = np.shape(r_levels)
-    levels = np.asarray(r_levels, dtype=float).ravel()
+    levels = np.asarray(r_levels, dtype=float)
     lo, hi = levels.min(), levels.max()
-    if not (lo > WINDOW_LO * rn_ohm and hi < WINDOW_HI * rn_ohm):  # NaN fails too
-        raise ValueError("resistance levels must lie inside the (0.2, 0.8)*RN window")
+    if not (levels.ndim == 1 and lo > WINDOW_LO * rn_ohm and hi < WINDOW_HI * rn_ohm):
+        raise ValueError("resistance levels must be a 1-D array inside the (0.2, 0.8)*RN window")
     temps = np.empty((len(sweeps), len(levels)))
     displaced = np.empty(len(sweeps))
     knot_span = np.empty((len(sweeps), 2))
@@ -257,9 +253,7 @@ def invert_trace(sweeps, r_levels, rn_ohm: float) -> np.ndarray:
             f"{knot_span[i, 0]:.6g} to {knot_span[i, 1]:.6g} ohm, the levels {lo:.6g} to "
             f"{hi:.6g} ohm"
         )
-    if single:
-        return temps[0].reshape(shape)[()]
-    return temps.reshape((len(sweeps),) + shape)
+    return temps
 
 
 def default_levels(rn_ohm: float) -> np.ndarray:

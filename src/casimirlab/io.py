@@ -146,19 +146,25 @@ def read_csv(path, columns, text_columns=()) -> dict:
 
 
 def write_dataset(out_dir, config: CampaignConfig, triplets) -> Path:
-    """Write one .npy array per sweep plus the run manifest; returns the manifest path."""
-    out_dir = Path(out_dir)
-    sweep_dir = out_dir / SWEEP_DIR
-    sweep_dir.mkdir(parents=True)  # an existing sweeps/ holds another run: refused
+    """Write one .npy array per sweep plus the run manifest; returns the manifest path.
 
-    files = []
+    Every sweep is named before sweeps/ is created. Two fields that round to
+    the same uT (7.2 and 7.2004, a field listed twice, 0 and -0) would give
+    two sweeps one file name: a ConfigError naming both fields and the file,
+    with nothing written.
+    """
+    out_dir = Path(out_dir)
+    files, sweeps = [], {}  # path -> (triplet field, trace)
     for trip in triplets:
         for position, trace in trip.sweeps():
-            name = sweep_filename(trace, trip.field_mT, trip.replication, position)
-            write_sweep_csv(sweep_dir / name, trace)
+            path = f"{SWEEP_DIR}/{sweep_filename(trace, trip.field_mT, trip.replication, position)}"
+            if path in sweeps:
+                raise ConfigError(f"fields {sweeps[path][0]!r} and {trip.field_mT!r} mT round to "
+                                  f"the same uT, so two sweeps would both be {path}")
+            sweeps[path] = trip.field_mT, trace
             files.append(
                 {
-                    "path": f"{SWEEP_DIR}/{name}",
+                    "path": path,
                     "role": "sweep",
                     "sample_id": trace.sample_id,
                     "kind": trace.kind,
@@ -169,6 +175,9 @@ def write_dataset(out_dir, config: CampaignConfig, triplets) -> Path:
                     "t_start_s": trace.t_start_s,
                 }
             )
+    (out_dir / SWEEP_DIR).mkdir(parents=True)  # an existing sweeps/ holds another run: refused
+    for path, (_, trace) in sweeps.items():
+        write_sweep_csv(out_dir / path, trace)
 
     manifest = {
         "tool": "casimirlab",
@@ -202,10 +211,11 @@ def sweep_groups(run_dir, manifest: dict, homogeneity: float) -> list:
     """Group the manifest's sweep entries into triplets without reading them.
 
     Returns [((sample_id, field_mT, replication), {position: entry})] sorted
-    by key. Raises DataError for a malformed entry, a listed file that is
-    missing or a mid sweep whose applied_field_mT is not the one
-    simulate.run_triplet applies: the triplet's field_mT for a film, times
-    (1 + homogeneity) for a cavity.
+    by key. Every entry must be a sweep (role "sweep"). Raises DataError for
+    a malformed entry or one of another role, a listed file that is
+    missing, two entries for one sweep or for one file, or a mid sweep
+    whose applied_field_mT is not the one simulate.run_triplet applies: the
+    triplet's field_mT for a film, times (1 + homogeneity) for a cavity.
     Raises IncompleteTriplet naming the (sample, field, replication)
     combinations whose trio lacks members.
     """
@@ -214,12 +224,13 @@ def sweep_groups(run_dir, manifest: dict, homogeneity: float) -> list:
     entries = manifest.get("files")
     if not isinstance(entries, list):
         raise DataError(f"{manifest_path}: no 'files' list")
-    groups = {}
+    groups, paths = {}, {}
     for n, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise DataError(f"{manifest_path}: files[{n}] is not an object")
         if entry.get("role") != "sweep":
-            continue
+            raise DataError(f"{manifest_path}: files[{n}] ({entry.get('path', 'no path')}) "
+                            f"has role {entry.get('role')!r}, not 'sweep'")
         bad = [k for k, want in SWEEP_ENTRY_TYPES.items()
                if not isinstance(entry.get(k), want) or isinstance(entry.get(k), bool)]
         if bad:
@@ -250,7 +261,10 @@ def sweep_groups(run_dir, manifest: dict, homogeneity: float) -> list:
         if position in group:
             raise DataError(f"{manifest_path}: {group[position]['path']} and {entry['path']} are "
                             "both the {} sweep of {} at {} mT rep {}".format(position, *key))
-        group[position] = entry
+        if path in paths:
+            raise DataError(f"{manifest_path}: files[{paths[path]}] and files[{n}] both name "
+                            f"{entry['path']}")
+        group[position], paths[path] = entry, n
 
     incomplete = sorted(
         key for key, sweeps in groups.items() if set(sweeps) != {"pre", "mid", "post"}

@@ -170,8 +170,7 @@ def sweep_rng(seed: int, sample_id: str, field_mT: float, t_start_s: float):
 
 
 def generate_sweep(
-    kind: str,
-    params,
+    sample: FilmParams | CavityParams,
     h_mT: float,
     noise: NoiseModel,
     t_start_s: float,
@@ -184,22 +183,15 @@ def generate_sweep(
 
     The true temperature ramps linearly across Tc(H) +- 5 transition widths;
     the measured temperature adds the drift offset and fast gaussian noise,
-    the resistance is read noiselessly off the model sigmoid. `params` is a
-    FilmParams for kind="film" or a CavityParams for kind="cavity".
+    the resistance is read noiselessly off the model sigmoid. A FilmParams
+    `sample` gives a "film" sweep and a CavityParams a "cavity" sweep.
     """
     if n < MIN_SWEEP_POINTS:
         raise ConfigError(f"sweep needs >= {MIN_SWEEP_POINTS} points, got {n}")
     if duration_s <= 0:
         raise ConfigError("sweep duration must be positive")
-    if kind == "cavity":
-        if not isinstance(params, CavityParams):
-            raise ConfigError("cavity sweep requires CavityParams")
-        film, cavity = params.film, params
-    elif kind == "film":
-        film = params.film if isinstance(params, CavityParams) else params
-        cavity = None
-    else:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
+    cavity = sample if isinstance(sample, CavityParams) else None
+    film, kind = (sample, "film") if cavity is None else (cavity.film, "cavity")
     if sample_id is None:
         sample_id = kind
 
@@ -239,7 +231,6 @@ def run_triplet(
 
     def one(h, offset):
         return generate_sweep(
-            kind,
             params,
             h,
             config.noise,

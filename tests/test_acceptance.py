@@ -53,7 +53,7 @@ def report(num, label, ok, detail=""):
 def one_sided_shift(zero, field, tc0_K, rn_ohm):
     """ShiftEstimate of one in-field sweep against one zero-field sweep."""
     levels = default_levels(rn_ohm)
-    t_zero, t_field = (invert_trace(s, levels, rn_ohm) for s in (zero, field))
+    t_zero, t_field = invert_trace([zero, field], levels, rn_ohm)
     delta_t, sigma = estimate_shift(t_zero, t_field, tc0_K)
     return ShiftEstimate(field.field_mT, delta_t, sigma, field.sample_id, field.kind)
 

@@ -53,13 +53,13 @@ def translated(trace, dT):
 
 def logistic_trace(film, n=400, field=0.0, t_start=0.0):
     noise = NoiseModel(seed=0)
-    return generate_sweep("film", film, field, noise, t_start, 1200.0, n)
+    return generate_sweep(film, field, noise, t_start, 1200.0, n)
 
 
 def one_sided_shift(zero, field, tc0_K, rn_ohm, levels=None):
     """ShiftEstimate of one in-field sweep against one zero-field sweep."""
     levels = default_levels(rn_ohm) if levels is None else levels
-    t_zero, t_field = (invert_trace(s, levels, rn_ohm) for s in (zero, field))
+    t_zero, t_field = invert_trace([zero, field], levels, rn_ohm)
     delta_t, sigma = estimate_shift(t_zero, t_field, tc0_K)
     return ShiftEstimate(field.field_mT, delta_t, sigma, field.sample_id, field.kind)
 
@@ -71,7 +71,8 @@ def drift_corrected_shift_reference(triplet, tc0_K, rn_ohm):
     n_eff = max(1.0, len(levels) / LEVEL_CORRELATION_FACTOR)
     sides = []
     for zero in (triplet.pre, triplet.post):
-        diffs = invert_trace(zero, levels, rn_ohm) - invert_trace(triplet.mid, levels, rn_ohm)
+        t_zero, t_mid = invert_trace([zero, triplet.mid], levels, rn_ohm)
+        diffs = t_zero - t_mid
         sigma = float(np.std(diffs, ddof=1)) / np.sqrt(n_eff) / tc0_K
         sides.append((float(np.mean(diffs)) / tc0_K, sigma))
     (before, sigma_before), (after, sigma_after) = sides
@@ -267,7 +268,7 @@ class TestExtractTc0:
         errs = []
         for seed in range(100):
             noise = NoiseModel(sigma_fast_uK=3.0, seed=seed)
-            tr = generate_sweep("film", film, 0.0, noise, 0.0, 1200.0, 1200)
+            tr = generate_sweep(film, 0.0, noise, 0.0, 1200.0, 1200)
             errs.append(abs(extract_tc0(tr, film.rn_ohm) - film.tc0_K))
         assert np.percentile(errs, 95) < 10e-6
 
@@ -282,12 +283,12 @@ class Inversions(list):
 
 
 def counted_inversions(monkeypatch):
-    """Record every sweep of each analysis.invert_trace call, a sequence's too."""
+    """Record every sweep of each analysis.invert_trace call."""
     calls = Inversions()
     original = analysis.invert_trace
 
     def counting(sweeps, r_levels, rn_ohm):
-        batch = [sweeps] if isinstance(sweeps, SweepTrace) else list(sweeps)
+        batch = list(sweeps)
         calls.extend(batch)
         calls.batches.append(batch)
         return original(sweeps, r_levels, rn_ohm)
@@ -322,7 +323,7 @@ class TestLevelTemperatures:
 
         def message(sweep):
             with pytest.raises(IncompleteTransition) as exc:
-                invert_trace(sweep, default_levels(cfg.film.rn_ohm), cfg.film.rn_ohm)
+                invert_trace([sweep], default_levels(cfg.film.rn_ohm), cfg.film.rn_ohm)
             return str(exc.value)
 
         triplets = run_campaign(cfg)
@@ -355,7 +356,7 @@ class TestLevelTemperatures:
         tr = logistic_trace(film)
         [temps] = analysis._level_temperatures([tr], film.rn_ohm)
         np.testing.assert_array_equal(
-            temps, invert_trace(tr, default_levels(film.rn_ohm), film.rn_ohm))
+            temps, invert_trace([tr], default_levels(film.rn_ohm), film.rn_ohm)[0])
         with pytest.raises(ValueError):
             temps[0] = 0.0
 
@@ -374,7 +375,7 @@ class TestInvertTrace:
     def test_noiseless_matches_analytic_inverse(self, film):
         tr = logistic_trace(film, n=1200, field=3.0)
         levels = default_levels(film.rn_ohm)
-        t_at = invert_trace(tr, levels, film.rn_ohm)
+        [t_at] = invert_trace([tr], levels, film.rn_ohm)
         w_e = transition_width_e(film)
         tc = transition_midpoint(film, 3.0)
         analytic = tc + w_e * np.log(levels / (film.rn_ohm - levels))
@@ -383,14 +384,17 @@ class TestInvertTrace:
 
     def test_midpoint_level_matches_tc0_extraction(self, film):
         tr = logistic_trace(film, n=1200)
-        t_at = invert_trace(tr, [film.rn_ohm / 2], film.rn_ohm)
-        assert t_at[0] == pytest.approx(extract_tc0(tr, film.rn_ohm), abs=2e-5)
+        [[t_at]] = invert_trace([tr], [film.rn_ohm / 2], film.rn_ohm)
+        assert t_at == pytest.approx(extract_tc0(tr, film.rn_ohm), abs=2e-5)
 
     def test_levels_outside_window_rejected(self, film):
         tr = logistic_trace(film)
-        for levels in ([0.1 * film.rn_ohm], [0.5 * film.rn_ohm, math.nan]):
+        levels = default_levels(film.rn_ohm)
+        # a scalar level and a grid of levels are rejected as well as levels outside it
+        for bad in ([0.1 * film.rn_ohm], [0.5 * film.rn_ohm, math.nan], levels[7],
+                    levels.reshape(5, 10)):
             with pytest.raises(ValueError):
-                invert_trace(tr, levels, film.rn_ohm)
+                invert_trace([tr], bad, film.rn_ohm)
 
     def test_sweep_short_of_the_levels_rejected(self, film):
         # a clamped end knot would read T at the sweep's end, not at the level
@@ -401,7 +405,7 @@ class TestInvertTrace:
                              tr.tau_s[keep], tr.t_meas_K[keep], tr.r_meas_ohm[keep])
             with pytest.raises(IncompleteTransition,
                                match=rf"film sweep {tr.sample_id} at 3.0 mT starting at 600.0 s"):
-                invert_trace(cut, levels, film.rn_ohm)
+                invert_trace([cut], levels, film.rn_ohm)
 
     def test_noisy_averaging_gain(self, film):
         # mean absolute deviation from the analytic inverse beats the raw noise
@@ -410,9 +414,9 @@ class TestInvertTrace:
         devs = []
         for seed in range(30):
             noise = NoiseModel(sigma_fast_uK=sigma_uK, seed=seed)
-            tr = generate_sweep("film", film, 0.0, noise, 0.0, 1200.0, 1200)
+            tr = generate_sweep(film, 0.0, noise, 0.0, 1200.0, 1200)
             levels = default_levels(film.rn_ohm)
-            t_at = invert_trace(tr, levels, film.rn_ohm)
+            [t_at] = invert_trace([tr], levels, film.rn_ohm)
             analytic = film.tc0_K + w_e * np.log(levels / (film.rn_ohm - levels))
             devs.append(np.mean(np.abs(t_at - analytic)))
         assert np.mean(devs) < sigma_uK * 1e-6
@@ -439,24 +443,13 @@ class TestInvertTrace:
         expected = [invert_one_by_one(s, levels, 300.0) for s in sweeps]
         np.testing.assert_array_equal(bits(temps), bits(expected))
         for sweep, row in zip(sweeps, temps):
-            np.testing.assert_array_equal(bits(invert_trace(sweep, levels, 300.0)), bits(row))
-
-    def test_levels_keep_their_shape(self, film):
-        tr = logistic_trace(film)
-        levels = default_levels(film.rn_ohm)
-        row = invert_trace(tr, levels, film.rn_ohm)
-        scalar = invert_trace(tr, levels[7], film.rn_ohm)
-        assert np.ndim(scalar) == 0 and bits(scalar) == bits(row[7])
-        grid = invert_trace(tr, levels.reshape(5, 10), film.rn_ohm)
-        np.testing.assert_array_equal(bits(grid), bits(row.reshape(5, 10)))
-        batch = invert_trace([tr, tr], levels[7], film.rn_ohm)
-        np.testing.assert_array_equal(bits(batch), bits(row[[7, 7]]))
+            np.testing.assert_array_equal(bits(invert_trace([sweep], levels, 300.0)[0]), bits(row))
 
     def test_garbage_trace_rejected(self, film):
         t = np.linspace(film.tc0_K - 5e-3, film.tc0_K + 5e-3, 200)
         r = np.linspace(film.rn_ohm, 0.0, 200)  # backwards transition
         with pytest.raises(NonMonotonic):
-            invert_trace(make_trace(t, r), [150.0], film.rn_ohm)
+            invert_trace([make_trace(t, r)], [150.0], film.rn_ohm)
 
 
 class TestEstimateShift:
@@ -548,8 +541,8 @@ class TestEstimateShift:
             return out
 
         noise = NoiseModel(sigma_fast_uK=30.0, seed=17)
-        zero = generate_sweep("film", film, 0.0, noise, 0.0, 1200.0, 64)
-        at_field = generate_sweep("film", film, 7.2, noise, 1200.0, 1200.0, 64)
+        zero = generate_sweep(film, 0.0, noise, 0.0, 1200.0, 64)
+        at_field = generate_sweep(film, 7.2, noise, 1200.0, 1200.0, 64)
         levels = default_levels(film.rn_ohm)
         est = one_sided_shift(zero, at_field, film.tc0_K, rn_ohm=film.rn_ohm)
         t0 = brute_invert(zero, levels, film.rn_ohm)

@@ -289,6 +289,22 @@ class TestSimulateCommand:
         assert "--seed" in result.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("fields, clash, name", [
+        ("2 5 7.2 7.2004 9 10", "7.2 and 7.2004", "film01_film_p0007200uT_rep000_pre.npy"),
+        ("7.2 7.2", "7.2 and 7.2", "film01_film_p0007200uT_rep000_pre.npy"),
+        ("0 -0", "0.0 and -0.0", "film01_film_p0000000uT_rep000_pre.npy"),
+    ])
+    def test_fields_sharing_a_sweep_file_exit_2(self, runner, tmp_path, fields, clash, name):
+        # sweep files name the field in whole uT; np.save would overwrite the first sweep
+        cfg = tmp_path / "clash.ini"
+        cfg.write_text(SMALL_CONFIG.replace("fields_mT = 7.2", f"fields_mT = {fields}"))
+        out = tmp_path / "run"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"fields {clash} mT round to the same uT" in result.stderr
+        assert f"sweeps/{name}" in result.stderr
+        assert not out.exists()
+
     def test_config_error_exit_code(self, runner, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[film]\n")
@@ -483,6 +499,31 @@ def _duplicate_pre(manifest):
     return manifest
 
 
+def _share_path(run_dir):
+    """The film mid entry names the pre sweep's file."""
+    manifest = read_manifest(run_dir)
+    files = manifest["files"]
+    files[1]["path"] = files[0]["path"]
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    return f"files[0] and files[1] both name {files[0]['path']}"
+
+
+def _set_role(role, select):
+    """Sets role (None: deletes it) on the entries select(n, entry) picks; the first is named."""
+    def mutate(run_dir):
+        manifest = read_manifest(run_dir)
+        picked = [n for n, e in enumerate(manifest["files"]) if select(n, e)]
+        for n in picked:
+            if role is None:
+                del manifest["files"][n]["role"]
+            else:
+                manifest["files"][n]["role"] = role
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        first = manifest["files"][picked[0]]
+        return f"files[{picked[0]}] ({first['path']}) has role {role!r}"
+    return mutate
+
+
 def _set_config(edit):
     def edit_manifest(manifest):
         edit(manifest["config"])
@@ -542,6 +583,11 @@ MUTATIONS = {
     "path not a string": _manifest_edit(_set_entry(1, "path", 5)),
     "triplet out of chronological order": _manifest_edit(_swap_pre_post_times, named_file=0),
     "duplicate sweep entry": _manifest_edit(_duplicate_pre, named_file=0),
+    "two entries name one file": _share_path,
+    # the three entries of the 7.2 mT film triplet: without them the run still analyzes
+    "triplet entries without role": _set_role(
+        None, lambda n, e: (e["kind"], e["field_mT"]) == ("film", 7.2)),
+    "entry with another role": _set_role("calibration", lambda n, e: n == 1),
     "pre sweep in field": _manifest_edit(_set_entry(0, "applied_field_mT", 7.2), named_file=0),
     "pre sweep of other kind": _manifest_edit(_set_entry(0, "kind", "cavity"), named_file=0),
     "manifest not an object": _manifest_edit(lambda m: [m]),

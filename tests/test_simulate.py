@@ -27,14 +27,14 @@ def invert_noiseless(trace, film, level_ohm):
 
 class TestGenerateSweep:
     def test_noiseless_on_model_sigmoid(self, film, quiet_noise):
-        tr = generate_sweep("film", film, 3.0, quiet_noise, 0.0, 1200.0, 400)
+        tr = generate_sweep(film, 3.0, quiet_noise, 0.0, 1200.0, 400)
         # invert at the midpoint level and recover Tc(H) within grid resolution
         tc = invert_noiseless(tr, film, film.rn_ohm / 2)
         grid_step = (tr.t_meas_K[-1] - tr.t_meas_K[0]) / (tr.n_points - 1)
         assert abs(tc - transition_midpoint(film, 3.0)) < grid_step
 
     def test_analytic_sigmoid_values(self, film, quiet_noise):
-        tr = generate_sweep("film", film, 0.0, quiet_noise, 0.0, 1200.0, 400)
+        tr = generate_sweep(film, 0.0, quiet_noise, 0.0, 1200.0, 400)
         w_e = transition_width_e(film)
         tc = transition_midpoint(film, 0.0)
         expected = film.rn_ohm / (1.0 + np.exp(-(tr.t_meas_K - tc) / w_e))
@@ -42,46 +42,47 @@ class TestGenerateSweep:
 
     def test_drift_shifts_apparent_temperature(self, film):
         noise = NoiseModel(sigma_fast_uK=0.0, drift_uK_per_hr=-50.0, seed=3)
-        a = generate_sweep("film", film, 0.0, noise, 0.0, 1200.0, 200)
-        b = generate_sweep("film", film, 0.0, noise, 3600.0, 1200.0, 200)
+        a = generate_sweep(film, 0.0, noise, 0.0, 1200.0, 200)
+        b = generate_sweep(film, 0.0, noise, 3600.0, 1200.0, 200)
         # identical R values occur at apparent temperatures 50 uK apart
         assert np.allclose(a.r_meas_ohm, b.r_meas_ohm)
         np.testing.assert_allclose(b.t_meas_K - a.t_meas_K, -50e-6, rtol=1e-9)
 
     def test_same_seed_bit_identical(self, film):
         noise = NoiseModel(sigma_fast_uK=25.0, drift_uK_per_hr=-50.0, seed=99)
-        a = generate_sweep("film", film, 3.0, noise, 0.0, 1200.0, 300, sample_id="s")
-        b = generate_sweep("film", film, 3.0, noise, 0.0, 1200.0, 300, sample_id="s")
+        a = generate_sweep(film, 3.0, noise, 0.0, 1200.0, 300, sample_id="s")
+        b = generate_sweep(film, 3.0, noise, 0.0, 1200.0, 300, sample_id="s")
         assert np.array_equal(a.t_meas_K, b.t_meas_K)
         assert np.array_equal(a.r_meas_ohm, b.r_meas_ohm)
 
     def test_different_subseed_inputs_decorrelate(self, film):
         noise = NoiseModel(sigma_fast_uK=25.0, seed=99)
-        a = generate_sweep("film", film, 3.0, noise, 0.0, 1200.0, 300, sample_id="s")
-        b = generate_sweep("film", film, 3.0, noise, 0.0, 1200.0, 300, sample_id="t")
-        c = generate_sweep("film", film, 3.0, noise, 60.0, 1200.0, 300, sample_id="s")
+        a = generate_sweep(film, 3.0, noise, 0.0, 1200.0, 300, sample_id="s")
+        b = generate_sweep(film, 3.0, noise, 0.0, 1200.0, 300, sample_id="t")
+        c = generate_sweep(film, 3.0, noise, 60.0, 1200.0, 300, sample_id="s")
         assert not np.array_equal(a.t_meas_K, b.t_meas_K)
         assert not np.array_equal(a.t_meas_K[:50], c.t_meas_K[:50])
 
     def test_point_count_floor(self, film, quiet_noise):
         with pytest.raises(ConfigError):
-            generate_sweep("film", film, 0.0, quiet_noise, 0.0, 1200.0, 10)
+            generate_sweep(film, 0.0, quiet_noise, 0.0, 1200.0, 10)
 
-    def test_cavity_kind_requires_cavity_params(self, film, quiet_noise):
-        with pytest.raises(ConfigError):
-            generate_sweep("cavity", film, 0.0, quiet_noise, 0.0, 1200.0, 100)
+    def test_sample_record_sets_kind(self, film, cavity, quiet_noise):
+        for sample, kind in ((film, "film"), (cavity, "cavity")):
+            tr = generate_sweep(sample, 3.0, quiet_noise, 0.0, 1200.0, 100)
+            assert (tr.kind, tr.sample_id) == (kind, kind)
 
     def test_signed_field_symmetry_noiseless(self, film, quiet_noise):
-        plus = generate_sweep("film", film, 7.2, quiet_noise, 0.0, 1200.0, 200)
-        minus = generate_sweep("film", film, -7.2, quiet_noise, 0.0, 1200.0, 200)
+        plus = generate_sweep(film, 7.2, quiet_noise, 0.0, 1200.0, 200)
+        minus = generate_sweep(film, -7.2, quiet_noise, 0.0, 1200.0, 200)
         # theta = 0: the quadratic term is even, transitions coincide
         assert np.allclose(plus.t_meas_K, minus.t_meas_K, rtol=0, atol=1e-15)
         assert np.allclose(plus.r_meas_ohm, minus.r_meas_ohm)
 
     def test_signed_field_tilt_offset(self, quiet_noise, film):
         tilted = dataclasses.replace(film, theta_rad=5e-3)
-        plus = generate_sweep("film", tilted, 7.2, quiet_noise, 0.0, 1200.0, 200)
-        minus = generate_sweep("film", tilted, -7.2, quiet_noise, 0.0, 1200.0, 200)
+        plus = generate_sweep(tilted, 7.2, quiet_noise, 0.0, 1200.0, 200)
+        minus = generate_sweep(tilted, -7.2, quiet_noise, 0.0, 1200.0, 200)
         expected = 2 * np.sin(5e-3) * 7.2 / film.h0_mT
         dt_plus = delta_t_of_field(tilted, 7.2)
         dt_minus = delta_t_of_field(tilted, -7.2)
