@@ -58,12 +58,12 @@ def cmd_example_config(out):
 @click.option("--config", "config_path", type=click.Path(exists=False), required=True,
               help="Campaign configuration file.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True,
-              help="Run directory to create; one that holds sweeps/ is refused.")
+              help="Run directory to create; one that holds sweeps.npy is refused.")
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
               help="Override the master seed.")
 @click.option("--quiet", is_flag=True, help="Suppress the campaign summary.")
 def cmd_simulate(config_path, out_dir, seed, quiet):
-    """Generate a campaign dataset: one .npy array per sweep plus a manifest."""
+    """Generate a campaign dataset: one .npy array of every sweep plus a manifest."""
     config = load_config(config_path)
     if seed is not None:
         config = dataclasses.replace(

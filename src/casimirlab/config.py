@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import math
 import operator
 import typing
@@ -97,6 +98,8 @@ def _parse_fields(value) -> tuple:
 # annotation -> converter of INI text or a JSON value (JSON 1.5 is no int)
 _CONVERT = {float: _finite, tuple: _parse_fields,
             int: lambda v: int(v) if isinstance(v, str) else operator.index(_not_bool(v))}
+# a record's annotations, evaluated once: that costs more than the rest of a config load
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def _keys(record) -> list:
@@ -111,7 +114,7 @@ def _record_kwargs(section: str, values, source) -> dict:
     if not isinstance(values, dict):
         raise ConfigError(f"section [{section}] of {source} is not a table")
     record = SECTIONS[section]
-    types = typing.get_type_hints(record)
+    types = _type_hints(record)
     given = {key.lower(): value for key, value in values.items()}
     keys = {f.name.lower(): f for f in _keys(record)}
     unknown = sorted(set(given) - set(keys))

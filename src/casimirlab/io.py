@@ -1,12 +1,11 @@
-"""On-disk formats: the sweep arrays, the run manifest and the analysis/report tables.
+"""On-disk formats: the sweep array, the run manifest and the analysis/report tables.
 
-Each sweep is one .npy file, a float64 (n, 3) array of SWEEP_COLUMNS, so
-it round-trips exactly. Every table under analysis/ and report/ is a CSV
-written by `write_csv` and read by `read_csv`: a header row with a fixed
-column order, then one row per line, numbers with 17 significant digits so
-that they round-trip exactly. All metadata needed to regroup sweeps into
-triplets lives in the manifest, not in filenames (the filenames merely
-encode it readably).
+A run's sweeps are one .npy file, sweeps.npy, a float64 (n_sweeps, n, 3)
+array of SWEEP_COLUMNS that round-trips exactly; each sweep entry of the
+manifest, which holds every sweep's metadata, names its row. Every table
+under analysis/ and report/ is a CSV written by `write_csv` and read by
+`read_csv`: a header row with a fixed column order, then one row per line,
+numbers with 17 significant digits so that they round-trip exactly.
 """
 
 from __future__ import annotations
@@ -23,74 +22,72 @@ import numpy as np
 from . import __version__
 from .config import config_from_dict, config_to_dict
 from .errors import ConfigError, DataError, IncompleteTriplet
-from .simulate import CampaignConfig, SweepTrace, TripletRecord
+from .simulate import MIN_SWEEP_POINTS, CampaignConfig, SweepTrace, TripletRecord
 
 MANIFEST_NAME = "manifest.json"
-SWEEP_DIR = "sweeps"
+SWEEPS_NAME = "sweeps.npy"
 
 SWEEP_COLUMNS = ("tau_s", "T_meas_K", "R_meas_ohm")
-# key -> type of every sweep entry (role "sweep") in the manifest's "files" list; no bool
+# key -> exact JSON types (so a bool is no int) of every sweep entry in the manifest's "files"
 SWEEP_ENTRY_TYPES = {
-    "path": str,
-    "sample_id": str,
-    "kind": str,
+    "row": (int,),
+    "sample_id": (str,),
+    "kind": (str,),
     "field_mT": (int, float),
     "applied_field_mT": (int, float),
-    "replication": int,
-    "position": str,
+    "replication": (int,),
+    "position": (str,),
     "t_start_s": (int, float),
 }
 
 
-def sweep_filename(trace: SweepTrace, field_mT: float, replication: int, position: str) -> str:
-    """<sample>_<kind>_<sign><field uT>uT_rep<NNN>_<pos>.npy
+def write_sweep_csv(path, traces) -> None:
+    """Write a run's sweeps as one .npy file: a float64 (n_sweeps, n, 3) array, row i
+    holding traces[i]'s tau_s, T_meas_K, R_meas_ohm.
 
-    The field is the triplet's nominal field in uT (rounded, sign encoded
-    as p/m), so the zero-field pre/post sweeps of different triplets get
-    distinct names.
+    The name predates the format. The file is opened for exclusive creation,
+    so an existing file (another run's) raises FileExistsError untouched.
     """
-    ut = int(round(field_mT * 1000.0))
-    sign = "m" if ut < 0 else "p"
-    return (
-        f"{trace.sample_id}_{trace.kind}_{sign}{abs(ut):07d}uT_"
-        f"rep{replication:03d}_{position}.npy"
-    )
+    data = np.empty((len(traces), traces[0].n_points, len(SWEEP_COLUMNS)))
+    data.transpose(0, 2, 1)[...] = [(t.tau_s, t.t_meas_K, t.r_meas_ohm) for t in traces]
+    with open(path, "xb") as f:
+        np.save(f, data)
 
 
-def write_sweep_csv(path, trace: SweepTrace) -> None:
-    """Write one sweep as .npy: a float64 (n, 3) array of tau_s, T_meas_K, R_meas_ohm.
+def read_sweep_csv(path, n_rows: int, picks) -> list:
+    """SweepTraces of the picked rows of a `write_sweep_csv` file; bad content is a DataError.
 
-    The name predates the format. np.save appends ".npy" to a path that
-    lacks it.
-    """
-    np.save(path, np.column_stack((trace.tau_s, trace.t_meas_K, trace.r_meas_ohm)))
-
-
-def read_sweep_csv(path, sample_id: str, kind: str, field_mT: float, t_start_s: float) -> SweepTrace:
-    """Load one `write_sweep_csv` file; any malformed content is a DataError naming it.
-
-    The file must hold a float64 (n, 3) array, n >= 50, of finite numbers
-    with strictly increasing times. It is read as np.load(allow_pickle=False)
-    reads a .npy file, without np.load's zip and pickle branches.
+    picks lists (n, entry) pairs, entry being the checked files[n] of the
+    manifest, whose "row" names its sweep's row. The file is memory-mapped,
+    without np.load's zip and pickle branches, and must hold a float64
+    (n_rows, points, 3) array with points >= MIN_SWEEP_POINTS. Only the
+    picked rows are copied out; one that holds a non-finite number or times
+    that do not strictly increase is named by its files[n].
     """
     try:
-        with open(path, "rb") as f:
-            data = np.lib.format.read_array(f, allow_pickle=False)
-    # ValueError: bad magic or header, truncated data, an object array;
-    # MemoryError: a header claiming more elements than can be allocated
-    except (OSError, ValueError, MemoryError) as exc:
+        data = np.lib.format.open_memmap(path, mode="r")
+    # ValueError: bad magic or header, data shorter than the header claims,
+    # an object array; OverflowError: a header claiming more than can be mapped
+    except (OSError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    if data.dtype != np.float64 or data.ndim != 2 or data.shape[1] != len(SWEEP_COLUMNS):
-        raise DataError(f"{path}: holds a {data.dtype} array of shape {data.shape}, "
-                        f"expected float64 (n, {len(SWEEP_COLUMNS)}): {', '.join(SWEEP_COLUMNS)}")
-    finite = np.isfinite(data)
-    if not finite.all():
-        row, column = np.argwhere(~finite)[0]
-        raise DataError(f"{path}: row {row}: non-finite {SWEEP_COLUMNS[column]}")
-    try:
-        return SweepTrace(sample_id, kind, field_mT, t_start_s, *data.T)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    if (data.dtype != np.float64 or data.ndim != 3 or data.shape[0] != n_rows
+            or data.shape[1] < MIN_SWEEP_POINTS or data.shape[2] != len(SWEEP_COLUMNS)):
+        raise DataError(f"{path}: holds a {data.dtype} array of shape {data.shape}, expected "
+                        f"float64 ({n_rows} sweeps, >= {MIN_SWEEP_POINTS} points, "
+                        f"{len(SWEEP_COLUMNS)}): {', '.join(SWEEP_COLUMNS)}")
+    traces = []
+    for n, entry in picks:
+        sweep = np.array(data[entry["row"]])  # a copy, so the map closes with data
+        bad = ~np.isfinite(sweep)
+        try:
+            if bad.any():
+                point, column = np.argwhere(bad)[0]
+                raise ValueError(f"point {point}: non-finite {SWEEP_COLUMNS[column]}")
+            traces.append(SweepTrace(entry["sample_id"], entry["kind"],
+                                     entry["applied_field_mT"], entry["t_start_s"], *sweep.T))
+        except ValueError as exc:
+            raise DataError(f"{path}: files[{n}] (row {entry['row']}): {exc}") from exc
+    return traces
 
 
 def write_csv(path, columns, rows) -> None:
@@ -146,25 +143,25 @@ def read_csv(path, columns, text_columns=()) -> dict:
 
 
 def write_dataset(out_dir, config: CampaignConfig, triplets) -> Path:
-    """Write one .npy array per sweep plus the run manifest; returns the manifest path.
+    """Write a run: its sweeps.npy (write_sweep_csv) and manifest; returns the manifest path.
 
-    Every sweep is named before sweeps/ is created. Two fields that round to
-    the same uT (7.2 and 7.2004, a field listed twice, 0 and -0) would give
-    two sweeps one file name: a ConfigError naming both fields and the file,
-    with nothing written.
+    Two triplets with one (sample, field, replication) key (a field listed
+    twice, or 0 and -0) would be one triplet to a reader: a ConfigError
+    naming both fields, raised before anything is written.
     """
     out_dir = Path(out_dir)
-    files, sweeps = [], {}  # path -> (triplet field, trace)
+    files, traces, fields = [], [], {}  # fields: triplet key -> field as configured
     for trip in triplets:
+        key = (trip.sample_id, trip.field_mT, trip.replication)
+        if key in fields:
+            raise ConfigError(f"fields {fields[key]!r} and {trip.field_mT!r} mT are one field, so "
+                              f"{trip.sample_id} would have two triplets there at replication "
+                              f"{trip.replication}")
+        fields[key] = trip.field_mT
         for position, trace in trip.sweeps():
-            path = f"{SWEEP_DIR}/{sweep_filename(trace, trip.field_mT, trip.replication, position)}"
-            if path in sweeps:
-                raise ConfigError(f"fields {sweeps[path][0]!r} and {trip.field_mT!r} mT round to "
-                                  f"the same uT, so two sweeps would both be {path}")
-            sweeps[path] = trip.field_mT, trace
             files.append(
                 {
-                    "path": path,
+                    "row": len(traces),
                     "role": "sweep",
                     "sample_id": trace.sample_id,
                     "kind": trace.kind,
@@ -175,9 +172,9 @@ def write_dataset(out_dir, config: CampaignConfig, triplets) -> Path:
                     "t_start_s": trace.t_start_s,
                 }
             )
-    (out_dir / SWEEP_DIR).mkdir(parents=True)  # an existing sweeps/ holds another run: refused
-    for path, (_, trace) in sweeps.items():
-        write_sweep_csv(out_dir / path, trace)
+            traces.append(trace)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_sweep_csv(out_dir / SWEEPS_NAME, traces)  # an existing sweeps.npy is refused
 
     manifest = {
         "tool": "casimirlab",
@@ -208,63 +205,57 @@ def read_manifest(run_dir) -> dict:
 
 
 def sweep_groups(run_dir, manifest: dict, homogeneity: float) -> list:
-    """Group the manifest's sweep entries into triplets without reading them.
+    """Group the manifest's sweep entries into triplets without reading the sweeps.
 
-    Returns [((sample_id, field_mT, replication), {position: entry})] sorted
-    by key. Every entry must be a sweep (role "sweep"). Raises DataError for
-    a malformed entry or one of another role, a listed file that is
-    missing, two entries for one sweep or for one file, or a mid sweep
-    whose applied_field_mT is not the one simulate.run_triplet applies: the
-    triplet's field_mT for a film, times (1 + homogeneity) for a cavity.
-    Raises IncompleteTriplet naming the (sample, field, replication)
-    combinations whose trio lacks members.
+    Returns [((sample_id, field_mT, replication), {position: (n, files[n])})]
+    sorted by key. Every entry must be a sweep (role "sweep"). Raises
+    DataError for a malformed entry or one of another role, a row outside
+    0..len(files)-1, two entries for one sweep or for one row, or a mid
+    sweep whose applied_field_mT is not the one simulate.run_triplet
+    applies: the triplet's field_mT for a film, times (1 + homogeneity) for
+    a cavity. Raises IncompleteTriplet naming the (sample, field,
+    replication) combinations whose trio lacks members.
     """
-    run_dir = Path(run_dir)
-    manifest_path = run_dir / MANIFEST_NAME
+    manifest_path = Path(run_dir) / MANIFEST_NAME
     entries = manifest.get("files")
     if not isinstance(entries, list):
         raise DataError(f"{manifest_path}: no 'files' list")
-    groups, paths = {}, {}
+    groups, rows = {}, {}
     for n, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise DataError(f"{manifest_path}: files[{n}] is not an object")
         if entry.get("role") != "sweep":
-            raise DataError(f"{manifest_path}: files[{n}] ({entry.get('path', 'no path')}) "
-                            f"has role {entry.get('role')!r}, not 'sweep'")
-        bad = [k for k, want in SWEEP_ENTRY_TYPES.items()
-               if not isinstance(entry.get(k), want) or isinstance(entry.get(k), bool)]
+            raise DataError(f"{manifest_path}: files[{n}] has role {entry.get('role')!r}, "
+                            "not 'sweep'")
+        bad = [k for k, want in SWEEP_ENTRY_TYPES.items() if type(entry.get(k)) not in want]
         if bad:
-            raise DataError(
-                f"{manifest_path}: files[{n}] ({entry.get('path', 'no path')}) "
-                f"lacks or mistypes {', '.join(bad)}"
-            )
+            raise DataError(f"{manifest_path}: files[{n}] lacks or mistypes {', '.join(bad)}")
         # json reads NaN, Infinity and 1e999 as non-finite floats
         bad = [k for k in SWEEP_ENTRY_TYPES
                if isinstance(entry[k], float) and not isfinite(entry[k])]
         if bad:
-            raise DataError(
-                f"{manifest_path}: files[{n}] ({entry['path']}) has non-finite {', '.join(bad)}"
-            )
+            raise DataError(f"{manifest_path}: files[{n}] has non-finite {', '.join(bad)}")
         if entry["position"] == "mid":
             applied = entry["field_mT"] * (1.0 + homogeneity if entry["kind"] == "cavity" else 1.0)
             if entry["applied_field_mT"] != applied:
                 raise DataError(
-                    f"{manifest_path}: files[{n}] ({entry['path']}) is the mid sweep of a "
+                    f"{manifest_path}: files[{n}] is the mid sweep of a "
                     f"{entry['kind']} triplet at {entry['field_mT']!r} mT, so its "
                     f"applied_field_mT must be {applied!r}, not {entry['applied_field_mT']!r}"
                 )
-        path = run_dir / entry["path"]
-        if not path.exists():
-            raise DataError(f"manifest lists missing file {path}")
+        row = entry["row"]
+        if not 0 <= row < len(entries):
+            raise DataError(f"{manifest_path}: files[{n}] names row {row}, but the "
+                            f"{len(entries)} entries have rows 0 to {len(entries) - 1}")
         key = (entry["sample_id"], entry["field_mT"], entry["replication"])
         group, position = groups.setdefault(key, {}), entry["position"]
         if position in group:
-            raise DataError(f"{manifest_path}: {group[position]['path']} and {entry['path']} are "
+            raise DataError(f"{manifest_path}: files[{group[position][0]}] and files[{n}] are "
                             "both the {} sweep of {} at {} mT rep {}".format(position, *key))
-        if path in paths:
-            raise DataError(f"{manifest_path}: files[{paths[path]}] and files[{n}] both name "
-                            f"{entry['path']}")
-        group[position], paths[path] = entry, n
+        if row in rows:
+            raise DataError(f"{manifest_path}: files[{rows[row]}] and files[{n}] both name "
+                            f"row {row}")
+        group[position], rows[row] = (n, entry), n
 
     incomplete = sorted(
         key for key, sweeps in groups.items() if set(sweeps) != {"pre", "mid", "post"}
@@ -277,21 +268,24 @@ def sweep_groups(run_dir, manifest: dict, homogeneity: float) -> list:
     return sorted(groups.items())
 
 
-def read_triplet(run_dir, group) -> TripletRecord:
-    """Parse the three sweep files of one group from `sweep_groups`."""
-    run_dir = Path(run_dir)
-    (_, field, rep), entries = group
-    sweeps = {
-        position: read_sweep_csv(
-            run_dir / e["path"], e["sample_id"], e["kind"], e["applied_field_mT"], e["t_start_s"]
-        )
-        for position, e in entries.items()
-    }
-    try:
-        return TripletRecord(**sweeps, field_mT=field, replication=rep)
-    except ValueError as exc:
-        paths = ", ".join(str(run_dir / entries[p]["path"]) for p in ("pre", "mid", "post"))
-        raise DataError(f"{paths}: {exc}") from exc
+def read_triplets(run_dir, groups, wanted=None) -> list:
+    """TripletRecords of the `wanted` groups (default: all) of a run's `sweep_groups` list.
+
+    sweep_groups puts every sweep entry of the run in one complete group, so
+    sweeps.npy must hold 3 * len(groups) rows. The wanted sweeps are read
+    in one read_sweep_csv call.
+    """
+    wanted = groups if wanted is None else wanted
+    picks = [entries[p] for _, entries in wanted for p in ("pre", "mid", "post")]
+    traces = read_sweep_csv(Path(run_dir) / SWEEPS_NAME, 3 * len(groups), picks)
+    triplets = []
+    for i, ((_, field, rep), entries) in enumerate(wanted):
+        try:
+            triplets.append(TripletRecord(*traces[3 * i:3 * i + 3], field, rep))
+        except ValueError as exc:
+            names = ", ".join(f"files[{n}]" for n, _ in sorted(entries.values()))
+            raise DataError(f"{Path(run_dir) / MANIFEST_NAME}: {names}: {exc}") from exc
+    return triplets
 
 
 def open_run(run_dir):
@@ -308,14 +302,14 @@ def open_run(run_dir):
 
 
 def load_dataset(run_dir):
-    """Read a simulated dataset back from disk: open_run, then every sweep file.
+    """Read a simulated dataset back from disk: open_run, then every row of sweeps.npy.
 
     Returns (config, triplets), the triplets sorted by (sample, field,
     replication). Raises IncompleteTriplet naming the offending (sample,
     field, replication) combinations if any trio is missing members.
     """
     config, groups = open_run(run_dir)
-    return config, [read_triplet(run_dir, group) for group in groups]
+    return config, read_triplets(run_dir, groups)
 
 
 def normalized_manifest_bytes(run_dir) -> bytes:

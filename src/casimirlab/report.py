@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .analysis import DEFAULT_N_LEVELS, field_means
-from .io import open_run, read_csv, read_triplet, write_csv
+from .io import open_run, read_csv, read_triplets, write_csv
 from .pipeline import AnalysisResult
 
 ANALYSIS_DIR = "analysis"
@@ -143,19 +143,19 @@ def write_report(run_dir) -> Path:
     tables = {"fig_parabola.csv": (("series", *columns), rows)}
 
     # Fig 5 style: R vs T for one film triplet, at the field closest to 7.2 mT;
-    # only that triplet's sweeps are parsed
+    # only that triplet's rows are read
     config, groups = open_run(run_dir)
     film_groups = [
         ((sample, field, rep), entries)
         for (sample, field, rep), entries in groups
-        if entries["mid"]["kind"] == "film" and field != 0
+        if entries["mid"][1]["kind"] == "film" and field != 0
     ]
     if not film_groups:
         raise DataError("no in-field film triplets available for fig_triplet")
     # first minimum in (sample, field, replication) order: at +-H, -H wins
-    pick = read_triplet(
-        run_dir, min(film_groups, key=lambda g: (abs(abs(g[0][1]) - 7.2), g[0][2]))
-    )
+    pick = read_triplets(
+        run_dir, groups, [min(film_groups, key=lambda g: (abs(abs(g[0][1]) - 7.2), g[0][2]))]
+    )[0]
     rows = []
     for position, trace in pick.sweeps():
         n = trace.n_points

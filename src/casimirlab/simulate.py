@@ -81,7 +81,7 @@ class SweepTrace:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if len(self.tau_s) < MIN_SWEEP_POINTS:
             raise ValueError(f"sweep needs >= {MIN_SWEEP_POINTS} points")
-        if not np.all(np.diff(self.tau_s) > 0):
+        if not (self.tau_s[1:] > self.tau_s[:-1]).all():
             raise ValueError("sweep times must be strictly increasing")
 
     @property

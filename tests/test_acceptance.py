@@ -277,8 +277,8 @@ def test_criterion_11_determinism(tmp_path):
         ):
             result = runner.invoke(main, args, catch_exceptions=False)
             assert result.exit_code == 0, result.output
-        chunks = [normalized_manifest_bytes(out)]
-        for sub in ("sweeps", "analysis", "report"):
+        chunks = [normalized_manifest_bytes(out), (out / "sweeps.npy").read_bytes()]
+        for sub in ("analysis", "report"):
             for path in sorted((out / sub).iterdir()):
                 chunks.append(path.name.encode() + path.read_bytes())
         return b"".join(chunks)

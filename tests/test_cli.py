@@ -105,14 +105,33 @@ def simulate_run(runner, tmp_path, config_text, name="run"):
     return out
 
 
-def write_sweep_reference(path, trace):
+def write_sweep_reference(path, traces):
     """The sweep file spelled out, to pin its format: .npy version 1.0, a
-    little-endian float64 (n, 3) array in C order, columns SWEEP_COLUMNS."""
-    data = np.array([trace.tau_s, trace.t_meas_K, trace.r_meas_ohm], dtype="<f8").T
-    header = "{'descr': '<f8', 'fortran_order': False, 'shape': (%d, %d), }" % data.shape
+    little-endian float64 (n_sweeps, n, 3) array in C order, row i holding
+    traces[i]'s columns SWEEP_COLUMNS."""
+    data = np.array([[t.tau_s, t.t_meas_K, t.r_meas_ohm] for t in traces], dtype="<f8")
+    data = data.transpose(0, 2, 1).copy()
+    header = "{'descr': '<f8', 'fortran_order': False, 'shape': (%d, %d, %d), }" % data.shape
     header += " " * (63 - (10 + len(header)) % 64) + "\n"  # the data starts 64-byte aligned
     path.write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little")
                      + header.encode("latin1") + data.tobytes())
+
+
+def find_entry(run_dir, sample_id, field_mT, replication, position):
+    """(n, files[n]) of one sweep in a run's manifest."""
+    key = (sample_id, field_mT, replication, position)
+    return next((n, e) for n, e in enumerate(read_manifest(run_dir)["files"])
+                if (e["sample_id"], e["field_mT"], e["replication"], e["position"]) == key)
+
+
+def drop_sweep(run_dir, n):
+    """Removes files[n] and its row from a run; the rows above it move down by one."""
+    manifest = read_manifest(run_dir)
+    row = manifest["files"].pop(n)["row"]
+    for entry in manifest["files"]:
+        entry["row"] -= entry["row"] > row
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    np.save(run_dir / "sweeps.npy", np.delete(np.load(run_dir / "sweeps.npy"), row, axis=0))
 
 
 def write_csv_reference(path, columns, rows):
@@ -255,11 +274,10 @@ class TestSimulateCommand:
     def test_minimal_campaign_file_count(self, runner, small_config, tmp_path):
         out = tmp_path / "run"
         run_ok(runner, ["simulate", "--config", str(small_config), "--out", str(out)])
-        sweeps = sorted((out / "sweeps").iterdir())
-        assert len(sweeps) == 6  # 2 samples x 3 sweeps
-        assert all(p.suffix == ".npy" for p in sweeps)
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sweeps.npy"]
+        assert np.load(out / "sweeps.npy").shape == (6, 120, 3)  # 2 samples x 3 sweeps
         manifest = read_manifest(out)
-        assert len(manifest["files"]) == 6
+        assert [e["row"] for e in manifest["files"]] == list(range(6))
         assert manifest["master_seed"] == 77
 
     def test_seed_override(self, runner, small_config, tmp_path):
@@ -274,10 +292,7 @@ class TestSimulateCommand:
             run_ok(runner, ["simulate", "--config", str(small_config), "--out", str(out)])
             outs.append(out)
         a, b = outs
-        assert len(list((a / "sweeps").glob("*.npy"))) == 6
-        for fa in sorted((a / "sweeps").glob("*.npy")):
-            fb = b / "sweeps" / fa.name
-            assert fa.read_bytes() == fb.read_bytes()
+        assert (a / "sweeps.npy").read_bytes() == (b / "sweeps.npy").read_bytes()
         assert normalized_manifest_bytes(a) == normalized_manifest_bytes(b)
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -289,21 +304,29 @@ class TestSimulateCommand:
         assert "--seed" in result.stderr
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("fields, clash, name", [
-        ("2 5 7.2 7.2004 9 10", "7.2 and 7.2004", "film01_film_p0007200uT_rep000_pre.npy"),
-        ("7.2 7.2", "7.2 and 7.2", "film01_film_p0007200uT_rep000_pre.npy"),
-        ("0 -0", "0.0 and -0.0", "film01_film_p0000000uT_rep000_pre.npy"),
+    @pytest.mark.parametrize("fields, clash, sample", [
+        ("7.2 7.2", "7.2 and 7.2", "film01"),
+        ("0 -0", "0.0 and -0.0", "film01"),
     ])
-    def test_fields_sharing_a_sweep_file_exit_2(self, runner, tmp_path, fields, clash, name):
-        # sweep files name the field in whole uT; np.save would overwrite the first sweep
+    def test_fields_sharing_a_sweep_file_exit_2(self, runner, tmp_path, fields, clash, sample):
+        # one (sample, field, replication) key for two triplets: a reader could not
+        # tell their sweeps apart
         cfg = tmp_path / "clash.ini"
         cfg.write_text(SMALL_CONFIG.replace("fields_mT = 7.2", f"fields_mT = {fields}"))
         out = tmp_path / "run"
         result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
         assert result.exit_code == 2, result.output
-        assert f"fields {clash} mT round to the same uT" in result.stderr
-        assert f"sweeps/{name}" in result.stderr
+        assert f"fields {clash} mT are one field, so {sample} would have two triplets" in (
+            result.stderr)
         assert not out.exists()
+
+    def test_fields_a_fraction_of_a_uT_apart_are_two_fields(self, runner, tmp_path):
+        out = simulate_run(runner, tmp_path,
+                           SMALL_CONFIG.replace("fields_mT = 7.2", "fields_mT = 2 5 7.2 7.2004 9 10"))
+        run_ok(runner, ["analyze", str(out), "--quiet"])
+        shifts = read_csv(out / "analysis" / "shifts.csv", SHIFTS_COLUMNS, ("sample_id", "kind"))
+        assert sorted(set(shifts["field_mT"].tolist())) == [2.0, 5.0, 7.2, 7.2004, 9.0, 10.0]
+        assert len(shifts["field_mT"]) == 2 * 6
 
     def test_config_error_exit_code(self, runner, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -336,35 +359,54 @@ class TestSimulateCommand:
 
 
 class TestSweepCsv:
-    """write_sweep_csv / read_sweep_csv, which write and read .npy sweep files."""
+    """write_sweep_csv / read_sweep_csv, which write a run's sweeps.npy and read rows of it."""
 
     @staticmethod
-    def awkward_trace():
+    def awkward_traces():
         rng = np.random.default_rng(5)
         n = 60
-        tau = np.arange(n, dtype=float) * 20.0  # integer-valued times
-        tau[7:] += 0.1 + 0.2  # 17 digits needed
-        t = 1.5 + 1e-3 * rng.standard_normal(n)
-        t[:6] = (-0.0, 5e-324, 1e300, -1e-300, 1 / 3, np.nextafter(1.5, 2.0))
-        r = 300.0 * rng.random(n)
-        r[:4] = (0.0, -0.0, 2.2250738585072014e-308, 1.7976931348623157e308)
-        return SweepTrace("film01", "film", 7.2, 0.0, tau, t, r)
+        traces = []
+        for start in (0.0, 1500.0, 3000.0):
+            tau = np.arange(n, dtype=float) * 20.0  # integer-valued times
+            tau[7:] += 0.1 + 0.2  # 17 digits needed
+            t = 1.5 + 1e-3 * rng.standard_normal(n)
+            t[:6] = (-0.0, 5e-324, 1e300, -1e-300, 1 / 3, np.nextafter(1.5, 2.0))
+            r = 300.0 * rng.random(n)
+            r[:4] = (0.0, -0.0, 2.2250738585072014e-308, 1.7976931348623157e308)
+            traces.append(SweepTrace("film01", "film", 7.2, start, tau, t, r))
+        return traces
+
+    @staticmethod
+    def entry(row, trace):
+        return {"row": row, "sample_id": trace.sample_id, "kind": trace.kind,
+                "applied_field_mT": trace.field_mT, "t_start_s": trace.t_start_s}
 
     def test_bytes_match_reference_writer(self, tmp_path):
-        trace = self.awkward_trace()
-        write_sweep_csv(tmp_path / "new.npy", trace)
-        write_sweep_reference(tmp_path / "ref.npy", trace)
+        traces = self.awkward_traces()
+        write_sweep_csv(tmp_path / "new.npy", traces)
+        write_sweep_reference(tmp_path / "ref.npy", traces)
         assert (tmp_path / "new.npy").read_bytes() == (tmp_path / "ref.npy").read_bytes()
 
     def test_read_back_bit_exact(self, tmp_path):
-        trace = self.awkward_trace()
-        write_sweep_csv(tmp_path / "s.npy", trace)
-        back = read_sweep_csv(tmp_path / "s.npy", "film01", "film", 7.2, 0.0)
-        for a, b in ((back.tau_s, trace.tau_s), (back.t_meas_K, trace.t_meas_K),
-                     (back.r_meas_ohm, trace.r_meas_ohm)):
-            assert np.array_equal(a, b)
-            # array_equal treats -0.0 == 0.0; the bit patterns must agree too
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        traces = self.awkward_traces()
+        write_sweep_csv(tmp_path / "s.npy", traces)
+        # rows in any order, each named by its own entry
+        picks = [(n, self.entry(row, traces[row])) for n, row in enumerate((2, 0))]
+        for back, (_, entry) in zip(read_sweep_csv(tmp_path / "s.npy", 3, picks), picks):
+            trace = traces[entry["row"]]
+            assert back.t_start_s == trace.t_start_s
+            for a, b in ((back.tau_s, trace.tau_s), (back.t_meas_K, trace.t_meas_K),
+                         (back.r_meas_ohm, trace.r_meas_ohm)):
+                assert np.array_equal(a, b)
+                # array_equal treats -0.0 == 0.0; the bit patterns must agree too
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_existing_file_left_as_it_is(self, tmp_path):
+        path = tmp_path / "s.npy"
+        path.write_bytes(b"another run")
+        with pytest.raises(FileExistsError):
+            write_sweep_csv(path, self.awkward_traces())
+        assert path.read_bytes() == b"another run"
 
 
 class TestTableCsv:
@@ -392,72 +434,91 @@ class TestTableCsv:
 
 
 def _edit_array(edit):
-    """Edit of a sweep file: saves edit(array) in place of its array."""
+    """Edit of the sweep file: saves edit(array) in place of its array."""
     return lambda path: np.save(path, edit(np.load(path)))
 
 
-def _set_element(row, column, value):
-    def edit(data):
-        data[row, column] = value
-        return data
+def _set_element(point, column, value):
+    def edit(sweep):
+        sweep[point, column] = value
+        return sweep
     return edit
 
 
-def _swap_rows(data):
-    data[[5, 6]] = data[[6, 5]]
-    return data
+def _swap_points(sweep):
+    sweep[[5, 6]] = sweep[[6, 5]]
+    return sweep
+
+
+def _stall(cut):
+    """Edit of a sweep: from point cut(sweep) on, R repeats its last reading while T ramps on."""
+    def edit(sweep):
+        k = cut(sweep)
+        sweep[k:, 2] = sweep[k - 1, 2]
+        return sweep
+    return edit
 
 
 def _non_numeric_cell(data):
     cells = data.astype("U32")
-    cells[3, 1] = "abc"
+    cells[1, 3, 1] = "abc"
     return cells
 
 
 def _cut_bytes(keep):
-    """Edit of a sweep file: keeps its first keep(bytes, array) bytes."""
+    """Edit of the sweep file: keeps its first keep(bytes, array) bytes."""
     def edit(path):
         raw = path.read_bytes()
         path.write_bytes(raw[:keep(raw, np.load(path))])
     return edit
 
 
-def _claim_rows(rows):
-    """Edit of a sweep file: a well-formed header claiming `rows` rows, then the old data."""
+def _claim_shape(shape):
+    """Edit of the sweep file: a well-formed header claiming shape(array), then the old data."""
     def edit(path):
         data = np.load(path)
         with open(path, "wb") as f:
             np.lib.format.write_array_header_1_0(
-                f, {"descr": "<f8", "fortran_order": False, "shape": (rows, 3)})
+                f, {"descr": "<f8", "fortran_order": False, "shape": shape(data)})
             f.write(data.tobytes())
     return edit
 
 
 def _save_npz(path):
-    """An .npz archive (np.load would return an NpzFile) under the sweep's name."""
+    """An .npz archive (np.load would return an NpzFile) under the sweep file's name."""
     data = np.load(path)
     with open(path, "wb") as f:
         np.savez(f, data)
 
 
-def _cut_film_mid(keep):
-    """Keeps the rows keep(array) of the film mid sweep. The file still parses, so the
-    error names the sweep (kind, sample, field, start), which analysis knows, not the file."""
+def _array_edit(edit):
+    """Mutation of sweeps.npy as a whole; the error names the file."""
     def mutate(run_dir):
-        entry = read_manifest(run_dir)["files"][1]
-        assert (entry["kind"], entry["position"]) == ("film", "mid")
-        _edit_array(lambda data: data[:keep(data)])(run_dir / entry["path"])
-        return (f"film sweep film01 at {entry['applied_field_mT']} mT "
-                f"starting at {entry['t_start_s']} s")
+        edit(run_dir / "sweeps.npy")
+        return "sweeps.npy"
     return mutate
 
 
-def _sweep_edit(edit):
-    """Mutation of the second sweep file listed in the manifest."""
+def _row_edit(edit, n=1):
+    """Mutation of the row of files[n] in sweeps.npy; the error names files[n]."""
     def mutate(run_dir):
-        victim = read_manifest(run_dir)["files"][1]["path"]
-        edit(run_dir / victim)
-        return victim.split("/")[-1]
+        row = read_manifest(run_dir)["files"][n]["row"]
+        data = np.load(run_dir / "sweeps.npy")
+        data[row] = edit(data[row])
+        np.save(run_dir / "sweeps.npy", data)
+        return f"files[{n}]"
+    return mutate
+
+
+def _stall_film_mid(cut):
+    """Stalls the film mid sweep's R (_stall). The file still checks out, so the error
+    names the sweep (kind, sample, field, start), which analysis knows, not the file."""
+    def mutate(run_dir):
+        entry = read_manifest(run_dir)["files"][1]
+        assert (entry["kind"], entry["position"]) == ("film", "mid")
+        _row_edit(_stall(cut))(run_dir)
+        return (f"film sweep film01 at {entry['applied_field_mT']} mT "
+                f"starting at {entry['t_start_s']} s")
     return mutate
 
 
@@ -465,16 +526,17 @@ def _manifest_edit(edit, named_file=None):
     """Mutation of the manifest; the error names files[named_file] or the manifest."""
     def mutate(run_dir):
         manifest = read_manifest(run_dir)
-        victim = "manifest.json" if named_file is None else manifest["files"][named_file]["path"]
         manifest = edit(manifest)
         (run_dir / "manifest.json").write_text(json.dumps(manifest))
-        return victim.split("/")[-1]
+        return "manifest.json" if named_file is None else f"files[{named_file}]"
     return mutate
 
 
-def _drop_t_start(manifest):
-    del manifest["files"][1]["t_start_s"]
-    return manifest
+def _drop_entry_key(index, key):
+    def edit(manifest):
+        del manifest["files"][index][key]
+        return manifest
+    return edit
 
 
 def _set_entry(index, key, value):
@@ -493,19 +555,19 @@ def _swap_pre_post_times(manifest):
 
 
 def _duplicate_pre(manifest):
-    """A second pre entry for the first triplet, pointing at that triplet's post file."""
+    """A second pre entry for the first triplet, naming that triplet's post row."""
     files = manifest["files"]
-    files.append({**files[0], "path": files[2]["path"]})
+    files.append({**files[0], "row": files[2]["row"]})
     return manifest
 
 
-def _share_path(run_dir):
-    """The film mid entry names the pre sweep's file."""
+def _share_row(run_dir):
+    """The film mid entry names the pre sweep's row."""
     manifest = read_manifest(run_dir)
     files = manifest["files"]
-    files[1]["path"] = files[0]["path"]
+    files[1]["row"] = files[0]["row"]
     (run_dir / "manifest.json").write_text(json.dumps(manifest))
-    return f"files[0] and files[1] both name {files[0]['path']}"
+    return f"files[0] and files[1] both name row {files[0]['row']}"
 
 
 def _set_role(role, select):
@@ -519,8 +581,7 @@ def _set_role(role, select):
             else:
                 manifest["files"][n]["role"] = role
         (run_dir / "manifest.json").write_text(json.dumps(manifest))
-        first = manifest["files"][picked[0]]
-        return f"files[{picked[0]}] ({first['path']}) has role {role!r}"
+        return f"files[{picked[0]}] has role {role!r}"
     return mutate
 
 
@@ -542,35 +603,42 @@ def _manifest_a_directory(run_dir):
     return "manifest.json"
 
 
-# each mutation damages one sweep file or the manifest and returns the text the
-# error must hold: the name of the damaged file, or the damaged sweep's identity
+# each mutation damages sweeps.npy or the manifest and returns the text the error
+# must hold: the damaged file, the entry (files[n]) of a damaged row, or the
+# damaged sweep's identity
 MUTATIONS = {
-    "non-numeric cell": _sweep_edit(_edit_array(_non_numeric_cell)),
+    "non-numeric cell": _array_edit(_edit_array(_non_numeric_cell)),
     # the file ends inside its last row
-    "short row": _sweep_edit(_cut_bytes(lambda raw, data: len(raw) - 12)),
-    "extra column": _sweep_edit(_edit_array(lambda d: np.column_stack((d, np.ones(len(d)))))),
-    "two columns throughout": _sweep_edit(_edit_array(lambda d: d[:, :2])),
-    "one-dimensional array": _sweep_edit(_edit_array(np.ravel)),
-    "header only": _sweep_edit(_cut_bytes(lambda raw, data: len(raw) - data.nbytes)),
-    "truncated header": _sweep_edit(_cut_bytes(lambda raw, data: 40)),
-    "empty file": _sweep_edit(_cut_bytes(lambda raw, data: 0)),
-    "bad header": _sweep_edit(lambda p: p.write_bytes(p.read_bytes().replace(b"'descr'", b"'dexcr'"))),
-    "header claims more rows than the file holds": _sweep_edit(_claim_rows(200)),
-    "header claims too many rows to allocate": _sweep_edit(_claim_rows(2**50)),
-    "wrong dtype": _sweep_edit(_edit_array(lambda d: d.astype(np.float32))),
-    "pickled object array": _sweep_edit(_edit_array(lambda d: d.astype(object))),
-    "npz archive": _sweep_edit(_save_npz),
-    "missing file": _sweep_edit(lambda p: p.unlink()),
-    "too few rows": _sweep_edit(_edit_array(lambda d: d[:21])),
-    "times not increasing": _sweep_edit(_edit_array(_swap_rows)),
-    "nan reading": _sweep_edit(_edit_array(_set_element(28, 1, np.nan))),
-    "inf reading": _sweep_edit(_edit_array(_set_element(28, 2, -np.inf))),
-    "not an npy file": _sweep_edit(lambda p: p.write_bytes(b"\xff\xfe\x00garbage")),
+    "short row": _array_edit(_cut_bytes(lambda raw, data: len(raw) - 12)),
+    "extra column": _array_edit(_edit_array(lambda d: np.concatenate((d, d[..., :1]), axis=2))),
+    "two columns throughout": _array_edit(_edit_array(lambda d: d[..., :2])),
+    "one-dimensional array": _array_edit(_edit_array(np.ravel)),
+    "header only": _array_edit(_cut_bytes(lambda raw, data: len(raw) - data.nbytes)),
+    "truncated header": _array_edit(_cut_bytes(lambda raw, data: 40)),
+    "empty file": _array_edit(_cut_bytes(lambda raw, data: 0)),
+    "bad header": _array_edit(
+        lambda p: p.write_bytes(p.read_bytes().replace(b"'descr'", b"'dexcr'"))),
+    "header claims more rows than the file holds": _array_edit(
+        _claim_shape(lambda d: (len(d) + 1, *d.shape[1:]))),
+    # the reader maps the file, so this claim fails as a map longer than the file
+    "header claims too many rows to allocate": _array_edit(
+        _claim_shape(lambda d: (2**50, *d.shape[1:]))),
+    "wrong dtype": _array_edit(_edit_array(lambda d: d.astype(np.float32))),
+    "pickled object array": _array_edit(_edit_array(lambda d: d.astype(object))),
+    "npz archive": _array_edit(_save_npz),
+    "missing file": _array_edit(lambda p: p.unlink()),
+    # every sweep holds fewer than MIN_SWEEP_POINTS points
+    "too few rows": _array_edit(_edit_array(lambda d: d[:, :21])),
+    "fewer rows than entries": _array_edit(_edit_array(lambda d: d[:-1])),
+    "times not increasing": _row_edit(_swap_points),
+    "nan reading": _row_edit(_set_element(28, 1, np.nan)),
+    "inf reading": _row_edit(_set_element(28, 2, -np.inf)),
+    "not an npy file": _array_edit(lambda p: p.write_bytes(b"\xff\xfe\x00garbage")),
     # the averaging window's levels lie in 0.2-0.8 R_N
-    "mid sweep ends below the levels": _cut_film_mid(lambda d: int(0.45 * len(d))),
-    "mid sweep ends inside the levels": _cut_film_mid(
+    "mid sweep ends below the levels": _stall_film_mid(lambda d: int(0.45 * len(d))),
+    "mid sweep ends inside the levels": _stall_film_mid(
         lambda d: int(np.argmax(d[:, 2] > 0.6 * 300.0)) + 1),
-    "entry lacks t_start_s": _manifest_edit(_drop_t_start, named_file=1),
+    "entry lacks t_start_s": _manifest_edit(_drop_entry_key(1, "t_start_s"), named_file=1),
     "field_mT not a number": _manifest_edit(_set_entry(1, "field_mT", "7.2"), named_file=1),
     # json writes and reads these as Infinity and NaN
     "field_mT infinite": _manifest_edit(_set_entry(1, "field_mT", float("inf")), named_file=1),
@@ -580,10 +648,15 @@ MUTATIONS = {
     # files[1] is a film mid sweep, simulated at its triplet's field
     "mid sweep at another field": _manifest_edit(
         _set_entry(1, "applied_field_mT", -40.0), named_file=1),
-    "path not a string": _manifest_edit(_set_entry(1, "path", 5)),
+    "row missing": _manifest_edit(_drop_entry_key(1, "row"), named_file=1),
+    "row not an integer": _manifest_edit(_set_entry(1, "row", 1.0), named_file=1),
+    "row a boolean": _manifest_edit(_set_entry(1, "row", True), named_file=1),
+    "row negative": _manifest_edit(_set_entry(1, "row", -1), named_file=1),
+    "row out of range": _manifest_edit(
+        lambda m: _set_entry(1, "row", len(m["files"]))(m), named_file=1),
     "triplet out of chronological order": _manifest_edit(_swap_pre_post_times, named_file=0),
     "duplicate sweep entry": _manifest_edit(_duplicate_pre, named_file=0),
-    "two entries name one file": _share_path,
+    "two entries name one row": _share_row,
     # the three entries of the 7.2 mT film triplet: without them the run still analyzes
     "triplet entries without role": _set_role(
         None, lambda n, e: (e["kind"], e["field_mT"]) == ("film", 7.2)),
@@ -653,7 +726,7 @@ class TestMalformedInput:
         (run_dir / "manifest.json").write_text(json.dumps(manifest))
         result = runner.invoke(main, [command, str(run_dir)])
         assert result.exit_code == 3, result.output
-        assert f"files[{n}] ({entry['path']})" in result.stderr
+        assert f"files[{n}] is the mid sweep" in result.stderr
         assert f"must be {expected!r}, not {applied!r}" in result.stderr
 
     @pytest.mark.parametrize("mutation", SNAPSHOT_MUTATIONS)
@@ -667,33 +740,56 @@ class TestMalformedInput:
         assert not (run_dir / "report").exists()
 
     def test_non_finite_message_names_row_and_column(self, runner, run_dir):
-        victim = run_dir / read_manifest(run_dir)["files"][2]["path"]
+        victim = run_dir / "sweeps.npy"
         data = np.load(victim)
-        # rows count from 0, as in the array; the first bad element in row order is named
+        # points count from 0, as in the array; the first bad element in file order is named
         for cells, named in [
-            ([(29, 0, np.nan)], "row 29: non-finite tau_s"),
-            ([(29, 2, np.inf), (40, 1, np.nan)], "row 29: non-finite R_meas_ohm"),
-            ([(41, 0, -np.inf), (40, 1, np.nan)], "row 40: non-finite T_meas_K"),
+            ([(2, 29, 0, np.nan)], "files[2] (row 2): point 29: non-finite tau_s"),
+            ([(2, 29, 2, np.inf), (2, 40, 1, np.nan)],
+             "files[2] (row 2): point 29: non-finite R_meas_ohm"),
+            ([(2, 41, 0, -np.inf), (2, 40, 1, np.nan), (7, 3, 0, np.nan)],
+             "files[2] (row 2): point 40: non-finite T_meas_K"),
         ]:
             damaged = data.copy()
-            for row, column, value in cells:
-                damaged[row, column] = value
+            for row, point, column, value in cells:
+                damaged[row, point, column] = value
             np.save(victim, damaged)
             result = runner.invoke(main, ["analyze", str(run_dir)])
             assert result.exit_code == 3
             assert f"{victim}: {named}" in result.stderr
 
+    def test_rows_follow_the_manifest(self, runner, run_dir):
+        run_ok(runner, ["analyze", str(run_dir), "--quiet"])
+        expected = (run_dir / "analysis" / "shifts.csv").read_bytes()
+        # files[1] and files[4] trade rows, in the manifest and in the array
+        manifest = read_manifest(run_dir)
+        files = manifest["files"]
+        files[1]["row"], files[4]["row"] = files[4]["row"], files[1]["row"]
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        data = np.load(run_dir / "sweeps.npy")
+        data[[1, 4]] = data[[4, 1]]
+        np.save(run_dir / "sweeps.npy", data)
+        run_ok(runner, ["analyze", str(run_dir), "--quiet"])
+        assert (run_dir / "analysis" / "shifts.csv").read_bytes() == expected
+        # a NaN in row 4 is a fault of files[1]
+        data[4, 10, 1] = np.nan
+        np.save(run_dir / "sweeps.npy", data)
+        result = runner.invoke(main, ["analyze", str(run_dir)])
+        assert result.exit_code == 3
+        assert "sweeps.npy: files[1] (row 4): point 10: non-finite T_meas_K" in result.stderr
 
-# cell values for random damage to the analysis CSVs, element values for the sweep arrays
+
+# cell values for random damage to the analysis CSVs, element values for the sweep array
 CELLS = st.sampled_from(["abc", "nan", "-inf", "1e999", "", " ", "1,2", "0x1p3", "-0"])
 ELEMENTS = st.sampled_from([np.nan, np.inf, -np.inf, float("1e999")])
 JSON_VALUES = st.sampled_from([None, "x", "", -1, 0, 1e300, -1e300, True, [], {}, [1, "a"]])
 INDEX = st.integers(0, 10**6)  # taken modulo the number of candidates
 
-# mutation kind -> strategy for its arguments
+# mutation kind -> strategy for its arguments; the sweep kinds edit one row of sweeps.npy
 RANDOM_MUTATIONS = {
     "delete sweep": st.tuples(INDEX),
-    "truncate sweep": st.tuples(INDEX, st.integers(0, 3100)),  # bytes kept; a sweep has 3008
+    # the file is cut inside or just after the row; a row has 2880 bytes
+    "truncate sweep": st.tuples(INDEX, st.integers(0, 3000)),
     "inject cell": st.tuples(INDEX, st.integers(0, 130), st.integers(0, 3), ELEMENTS),
     "swap rows": st.tuples(INDEX, st.integers(0, 130), st.integers(0, 130)),
     "drop manifest key": st.tuples(INDEX, st.integers(-1, 10**6)),
@@ -720,25 +816,24 @@ def _inject_cell(path, line, column, cell):
 
 
 def _apply_random_mutation(run_dir, kind, args):
-    sweeps = sorted((run_dir / "sweeps").glob("*.npy"))
+    sweeps = run_dir / "sweeps.npy"
+    data = np.load(sweeps)
+    row = args[0] % len(data) if kind.endswith((" sweep", " cell", " rows")) else None
     manifest_path = run_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     if kind == "delete sweep":
-        _pick(sweeps, args[0]).unlink()
+        np.save(sweeps, np.delete(data, row, axis=0))
     elif kind == "truncate sweep":
-        path = _pick(sweeps, args[0])
-        path.write_bytes(path.read_bytes()[:args[1]])
+        raw = sweeps.read_bytes()
+        sweeps.write_bytes(raw[:len(raw) - data.nbytes + row * data[0].nbytes + args[1]])
     elif kind == "inject cell":
-        path, row, column, value = _pick(sweeps, args[0]), *args[1:]
-        data = np.load(path)
-        data[row % len(data), column % data.shape[1]] = value
-        np.save(path, data)
+        point, column, value = args[1:]
+        data[row, point % data.shape[1], column % data.shape[2]] = value
+        np.save(sweeps, data)
     elif kind == "swap rows":
-        path, i, j = _pick(sweeps, args[0]), *args[1:]
-        data = np.load(path)
-        i, j = i % len(data), j % len(data)
-        data[[i, j]] = data[[j, i]]
-        np.save(path, data)
+        i, j = args[1] % data.shape[1], args[2] % data.shape[1]
+        data[row, [i, j]] = data[row, [j, i]]
+        np.save(sweeps, data)
     elif kind == "drop manifest key":
         target = manifest if args[1] < 0 else _pick(manifest["files"], args[1])
         del target[_pick(sorted(target), args[0])]
@@ -943,10 +1038,10 @@ class TestAnalyzeCommand:
             assert abs(float(r.split(",")[6])) < 40.0
 
     def test_incomplete_triplet_exit_code(self, runner, run_dir):
-        victim = next(iter((run_dir / "sweeps").glob("*_mid.npy")))
-        victim.unlink()
+        drop_sweep(run_dir, find_entry(run_dir, "film01", 7.2, 1, "mid")[0])
         result = runner.invoke(main, ["analyze", str(run_dir)])
         assert result.exit_code == 3
+        assert "incomplete triplets: film01 at 7.2 mT rep 1" in result.stderr
 
     def test_explicit_threshold_and_linear(self, runner, run_dir):
         run_ok(runner, ["analyze", str(run_dir), "--fit-threshold-mT", "6", "--include-linear"])
@@ -971,7 +1066,10 @@ class TestAnalyzeCommand:
 
     def test_film_only_manifest_exits_3(self, runner, run_dir):
         manifest = read_manifest(run_dir)
-        manifest["files"] = [e for e in manifest["files"] if e["kind"] == "film"]
+        film = [e for e in manifest["files"] if e["kind"] == "film"]
+        data = np.load(run_dir / "sweeps.npy")
+        np.save(run_dir / "sweeps.npy", data[[e["row"] for e in film]])
+        manifest["files"] = [{**e, "row": row} for row, e in enumerate(film)]
         (run_dir / "manifest.json").write_text(json.dumps(manifest))
         result = runner.invoke(main, ["analyze", str(run_dir)])
         assert result.exit_code == 3
@@ -1011,7 +1109,7 @@ class TestExitCodeBoundary:
              afile / "sub"),
             # a second run into one directory would mix two runs' files
             (["simulate", "--config", str(small_config), "--out", str(run_dir)],
-             run_dir / "sweeps"),
+             run_dir / "sweeps.npy"),
             (["analyze", str(unanalyzed)], unanalyzed / "analysis"),
             (["report", str(run_dir)], run_dir / "report"),
         ]:
@@ -1141,32 +1239,33 @@ class TestReportCommand:
         ]
         mid = [r for r in rows if r[0] == "mid"]
         assert {float(r[1]) for r in mid} == {-7.2}
-        sweep = plus_minus_run / "sweeps" / "film01_film_m0007200uT_rep000_mid.npy"
-        assert [[float(v) for v in r[2:]] for r in mid] == np.load(sweep).tolist()
+        _, entry = find_entry(plus_minus_run, "film01", -7.2, 0, "mid")
+        sweep = np.load(plus_minus_run / "sweeps.npy")[entry["row"]]
+        assert [[float(v) for v in r[2:]] for r in mid] == sweep.tolist()
 
     def test_missing_unplotted_sweep_exits_3(self, runner, plus_minus_run):
-        victim = plus_minus_run / "sweeps" / "cav01_cavity_p0002000uT_rep001_post.npy"
-        victim.unlink()
+        drop_sweep(plus_minus_run, find_entry(plus_minus_run, "cav01", 2.0, 1, "post")[0])
         result = runner.invoke(main, ["report", str(plus_minus_run)])
         assert result.exit_code == 3
-        assert victim.name in result.stderr
+        assert "incomplete triplets: cav01 at 2.0 mT rep 1" in result.stderr
         assert not (plus_minus_run / "report").exists()
 
     def test_corrupt_plotted_sweep_exits_3_writing_nothing(self, runner, plus_minus_run):
-        victim = plus_minus_run / "sweeps" / "film01_film_m0007200uT_rep000_mid.npy"
-        _edit_array(_set_element(3, 1, np.nan))(victim)
+        n, _ = find_entry(plus_minus_run, "film01", -7.2, 0, "mid")
+        _row_edit(_set_element(3, 1, np.nan), n)(plus_minus_run)
         result = runner.invoke(main, ["report", str(plus_minus_run)])
         assert result.exit_code == 3
-        assert victim.name in result.stderr
+        assert f"files[{n}] (row {n}): point 3: non-finite T_meas_K" in result.stderr
         assert not (plus_minus_run / "report").exists()
 
     def test_corrupt_unplotted_sweep_not_parsed_by_report(self, runner, plus_minus_run):
-        victim = plus_minus_run / "sweeps" / "cav01_cavity_p0002000uT_rep001_post.npy"
-        _edit_array(_set_element(3, 1, np.nan))(victim)
+        # report copies out and checks only the plotted triplet's rows
+        n, _ = find_entry(plus_minus_run, "cav01", 2.0, 1, "post")
+        _row_edit(_set_element(3, 1, np.nan), n)(plus_minus_run)
         run_ok(runner, ["report", str(plus_minus_run)])
         result = runner.invoke(main, ["analyze", str(plus_minus_run)])
         assert result.exit_code == 3
-        assert victim.name in result.stderr
+        assert f"files[{n}] (row {n}): point 3: non-finite T_meas_K" in result.stderr
 
     # the last item is the text of the line the message must name, or None
     @pytest.mark.parametrize("name, edit, bad_line", [
