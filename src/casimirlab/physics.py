@@ -48,19 +48,19 @@ class FilmParams:
     theta_rad: float = 0.0
 
     def __post_init__(self):
-        if self.thickness_nm <= 0:
-            raise ValueError("film thickness must be positive")
-        if self.lambda0_nm <= 0:
-            raise ValueError("penetration depth must be positive")
-        if self.h0_mT <= 0:
-            raise ValueError("bulk critical field must be positive")
-        if self.tc0_K <= 0:
-            raise ValueError("transition temperature must be positive")
-        if self.rn_ohm <= 0:
-            raise ValueError("normal-state resistance must be positive")
-        if self.width_mK <= 0:
-            raise ValueError("transition width must be positive")
-        if abs(self.theta_rad) >= 0.1:
+        if not 0 < self.thickness_nm < math.inf:
+            raise ValueError("film thickness must be positive and finite")
+        if not 0 < self.lambda0_nm < math.inf:
+            raise ValueError("penetration depth must be positive and finite")
+        if not 0 < self.h0_mT < math.inf:
+            raise ValueError("bulk critical field must be positive and finite")
+        if not 0 < self.tc0_K < math.inf:
+            raise ValueError("transition temperature must be positive and finite")
+        if not 0 < self.rn_ohm < math.inf:
+            raise ValueError("normal-state resistance must be positive and finite")
+        if not 0 < self.width_mK < math.inf:
+            raise ValueError("transition width must be positive and finite")
+        if not abs(self.theta_rad) < 0.1:
             raise ValueError("misalignment angle must satisfy |theta| < 0.1 rad")
 
 
@@ -79,8 +79,8 @@ class CavityParams:
     h_merge_mT: float = 20.0
 
     def __post_init__(self):
-        if self.shift_max_uK < 0:
-            raise ValueError("maximum shift must be non-negative")
+        if not 0 <= self.shift_max_uK < math.inf:
+            raise ValueError("maximum shift must be finite and non-negative")
         if not 0 < self.h_rise_mT < self.h_merge_mT:
             raise ValueError("field scales must satisfy 0 < h_rise < h_merge")
 
@@ -96,10 +96,10 @@ class ThermalEnvironment:
     x_eff: float = 10.0
 
     def __post_init__(self):
-        if self.t_env_K <= 0:
-            raise ValueError("environment temperature must be positive")
-        if self.x_eff <= 0:
-            raise ValueError("frequency multiplier must be positive")
+        if not 0 < self.t_env_K < math.inf:
+            raise ValueError("environment temperature must be positive and finite")
+        if not 0 < self.x_eff < math.inf:
+            raise ValueError("frequency multiplier must be positive and finite")
 
 
 def critical_field(film: FilmParams, t: float) -> float:

@@ -9,11 +9,19 @@ All randomness descends from a single master seed. Each sweep draws from
 its own generator whose sub-seed is a deterministic hash of
 (master seed, sample id, applied field, sweep start time), so a campaign
 can be generated in any order with bit-identical results.
+
+A sweep is a noiseless ramp (the time grid, the true-temperature grid and
+the model resistance on it) plus its own drift and noise. The zero-field
+sweeps that bracket every field sweep repeat one ramp, so `run_campaign`
+computes each distinct ramp once and its sweeps share the read-only time
+and resistance arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -50,8 +58,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_fast_uK < 0:
-            raise ValueError("fast noise sigma must be non-negative")
+        if not 0 <= self.sigma_fast_uK < math.inf:
+            raise ValueError("fast noise sigma must be finite and non-negative")
+        if not math.isfinite(self.drift_uK_per_hr):
+            raise ValueError("drift must be finite")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -65,7 +75,9 @@ class SweepTrace:
     offset of the first point. The arrays must not be modified after
     construction: the analysis keeps the sweep's level temperatures on the
     sweep, filled for every sweep of a campaign in one batched inversion
-    (see analysis._level_temperatures).
+    (see analysis._level_temperatures). A simulated sweep's tau_s and
+    r_meas_ohm are read-only, and run_campaign shares them among the
+    sweeps of one sample at one field; copy them before editing.
     """
 
     sample_id: str
@@ -143,14 +155,16 @@ class CampaignConfig:
     def __post_init__(self):
         if len(self.fields_mT) == 0:
             raise ValueError("campaign needs at least one field value")
-        if self.sweep_duration_s <= 0:
-            raise ValueError("sweep duration must be positive")
-        if self.points_per_sweep < MIN_SWEEP_POINTS:
+        if not all(map(math.isfinite, self.fields_mT)):
+            raise ValueError("field values must be finite")
+        if not 0 < self.sweep_duration_s < math.inf:
+            raise ValueError("sweep duration must be positive and finite")
+        if not self.points_per_sweep >= MIN_SWEEP_POINTS:
             raise ValueError(f"need >= {MIN_SWEEP_POINTS} points per sweep")
-        if self.replications < 1:
+        if not self.replications >= 1:
             raise ValueError("need at least one replication")
-        if self.homogeneity < 0:
-            raise ValueError("field inhomogeneity must be non-negative")
+        if not 0 <= self.homogeneity < math.inf:
+            raise ValueError("field inhomogeneity must be finite and non-negative")
         if self.cavity.film != self.film:
             raise ValueError("the cavity's film must be the campaign film")
 
@@ -169,6 +183,21 @@ def sweep_rng(seed: int, sample_id: str, field_mT: float, t_start_s: float):
     return np.random.default_rng(np.random.SeedSequence([int(seed), sub]))
 
 
+def _ramp(sample: FilmParams | CavityParams, h_mT: float, duration_s: float, n: int,
+          enhancement: float):
+    """The noiseless part of a sweep as read-only (tau, t_true, r_meas) arrays."""
+    cavity = sample if isinstance(sample, CavityParams) else None
+    film = sample if cavity is None else cavity.film
+    tc_h = transition_midpoint(film, h_mT, cavity, enhancement)
+    half = RAMP_HALF_WIDTHS * film.width_mK * 1e-3
+    t_true = np.linspace(tc_h - half, tc_h + half, n)
+    tau = np.arange(n) * (duration_s / n)
+    r_meas = resistance_curve(film, t_true, h_mT, cavity, enhancement)
+    for array in (tau, t_true, r_meas):
+        array.flags.writeable = False
+    return tau, t_true, r_meas
+
+
 def generate_sweep(
     sample: FilmParams | CavityParams,
     h_mT: float,
@@ -178,32 +207,32 @@ def generate_sweep(
     n: int,
     sample_id: str | None = None,
     enhancement: float = 1.0,
+    *,
+    ramp=_ramp,
 ) -> SweepTrace:
     """Simulate one transition sweep.
 
     The true temperature ramps linearly across Tc(H) +- 5 transition widths;
     the measured temperature adds the drift offset and fast gaussian noise,
     the resistance is read noiselessly off the model sigmoid. A FilmParams
-    `sample` gives a "film" sweep and a CavityParams a "cavity" sweep.
+    `sample` gives a "film" sweep and a CavityParams a "cavity" sweep. The
+    sweep's tau_s and r_meas_ohm are read-only.
+
+    `ramp` is how `run_campaign` hands down its per-campaign memo of the
+    noiseless ramp; it is not a tuning option, and other callers leave it.
     """
     if n < MIN_SWEEP_POINTS:
         raise ConfigError(f"sweep needs >= {MIN_SWEEP_POINTS} points, got {n}")
-    if duration_s <= 0:
-        raise ConfigError("sweep duration must be positive")
-    cavity = sample if isinstance(sample, CavityParams) else None
-    film, kind = (sample, "film") if cavity is None else (cavity.film, "cavity")
+    if not 0 < duration_s < math.inf:
+        raise ConfigError("sweep duration must be positive and finite")
+    kind = "cavity" if isinstance(sample, CavityParams) else "film"
     if sample_id is None:
         sample_id = kind
 
-    tc_h = transition_midpoint(film, h_mT, cavity, enhancement)
-    half = RAMP_HALF_WIDTHS * film.width_mK * 1e-3
-    t_true = np.linspace(tc_h - half, tc_h + half, n)
-    tau = np.arange(n) * (duration_s / n)
-
+    tau, t_true, r_meas = ramp(sample, h_mT, duration_s, n, enhancement)
     rng = sweep_rng(noise.seed, sample_id, h_mT, t_start_s)
     drift_K = noise.drift_uK_per_hr * 1e-6 * (t_start_s + tau) / 3600.0
     t_meas = t_true + drift_K + rng.normal(0.0, noise.sigma_fast_uK * 1e-6, n)
-    r_meas = resistance_curve(film, t_true, h_mT, cavity, enhancement)
 
     return SweepTrace(sample_id, kind, h_mT, t_start_s, tau, t_meas, r_meas)
 
@@ -214,12 +243,16 @@ def run_triplet(
     h_mT: float,
     t_start_s: float,
     replication: int = 0,
+    *,
+    ramp=_ramp,
 ) -> TripletRecord:
     """One zero-field / field / zero-field trio at equal time intervals.
 
     Cool-down always happens in zero field, so no flux-trapping state is
     carried between sweeps. The cavity sample sees the nominal field scaled
-    by (1 + homogeneity) to model the residual coil inhomogeneity.
+    by (1 + homogeneity) to model the residual coil inhomogeneity. `ramp`
+    is `run_campaign`'s per-campaign ramp memo, passed on to
+    `generate_sweep`; it is not a tuning option.
     """
     if kind == "cavity":
         params, sample_id = config.cavity, config.cavity_sample_id
@@ -239,6 +272,7 @@ def run_triplet(
             config.points_per_sweep,
             sample_id=sample_id,
             enhancement=config.enhancement,
+            ramp=ramp,
         )
 
     pre = one(0.0, 0.0)
@@ -269,8 +303,13 @@ def campaign_schedule(config: CampaignConfig):
 def run_campaign(config: CampaignConfig):
     """Generate the full dataset: one film and one cavity triplet per
     (field, replication), in schedule order.
+
+    Each distinct noiseless ramp is computed once per call and shared by
+    the sweeps that repeat it (every zero-field sweep of a sample, every
+    replication of a field); the memo lives only as long as this call.
     """
+    ramp = functools.cache(_ramp)
     return [
-        run_triplet(config, kind, h, t0, rep)
+        run_triplet(config, kind, h, t0, rep, ramp=ramp)
         for kind, h, rep, t0 in campaign_schedule(config)
     ]

@@ -1,6 +1,7 @@
 """Simulator tests: determinism, drift, scheduling and campaign structure."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ import pytest
 from casimirlab import (
     CavityParams,
     NoiseModel,
+    ThermalEnvironment,
     TripletRecord,
     delta_t_of_field,
     generate_sweep,
     run_campaign,
     run_triplet,
+    simulate,
 )
 from casimirlab.config import default_config
 from casimirlab.errors import ConfigError
@@ -66,6 +69,11 @@ class TestGenerateSweep:
     def test_point_count_floor(self, film, quiet_noise):
         with pytest.raises(ConfigError):
             generate_sweep(film, 0.0, quiet_noise, 0.0, 1200.0, 10)
+
+    @pytest.mark.parametrize("duration_s", [0.0, -1.0, math.nan, math.inf])
+    def test_duration_positive_and_finite(self, film, quiet_noise, duration_s):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            generate_sweep(film, 0.0, quiet_noise, 0.0, duration_s, 100)
 
     def test_sample_record_sets_kind(self, film, cavity, quiet_noise):
         for sample, kind in ((film, "film"), (cavity, "cavity")):
@@ -140,23 +148,51 @@ class TestRunCampaign:
         assert starts == sorted(starts)
 
     def test_order_independent_results(self, quiet_noise):
-        cfg = default_config(
-            noise=dataclasses.replace(quiet_noise, sigma_fast_uK=30.0),
-            fields_mT=(1.0, 4.0),
-            replications=2,
-            points_per_sweep=100,
-        )
-        forward = run_campaign(cfg)
-        backward = [
-            run_triplet(cfg, kind, h, t0, rep)
-            for kind, h, rep, t0 in reversed(campaign_schedule(cfg))
-        ][::-1]
-        assert len(forward) == len(backward) == 8
-        for a, b in zip(forward, backward):
-            assert a.kind == b.kind and a.field_mT == b.field_mT
-            for (_, ta), (_, tb) in zip(a.sweeps(), b.sweeps()):
-                assert np.array_equal(ta.t_meas_K, tb.t_meas_K)
-                assert np.array_equal(ta.r_meas_ohm, tb.r_meas_ohm)
+        # run_campaign shares ramps through its memo; run_triplet alone
+        # computes each sweep's ramp afresh: the bytes must agree
+        noise = dataclasses.replace(quiet_noise, sigma_fast_uK=30.0, drift_uK_per_hr=-50.0)
+        for fields, extra in (
+            ((1.0, 4.0), {}),
+            # 0.0 and -0.0 are one key of run_campaign's ramp memo
+            ((-0.0, 0.0, -7.2, 7.2), {}),
+            ((1.0, 4.0), {"thermal": ThermalEnvironment(), "homogeneity": 3e-3}),
+        ):
+            cfg = default_config(noise=noise, fields_mT=fields, replications=2,
+                                 points_per_sweep=100, **extra)
+            forward = run_campaign(cfg)
+            backward = [
+                run_triplet(cfg, kind, h, t0, rep)
+                for kind, h, rep, t0 in reversed(campaign_schedule(cfg))
+            ][::-1]
+            assert len(forward) == len(backward) == 4 * len(fields)
+            for a, b in zip(forward, backward):
+                assert a.kind == b.kind and a.field_mT == b.field_mT
+                for (_, ta), (_, tb) in zip(a.sweeps(), b.sweeps()):
+                    assert math.copysign(1, ta.field_mT) == math.copysign(1, tb.field_mT)
+                    for name in ("tau_s", "t_meas_K", "r_meas_ohm"):
+                        assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes()
+
+    def test_each_distinct_ramp_computed_once_per_campaign(self, quiet_noise, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return resistance_curve(*args, **kwargs)
+
+        resistance_curve = simulate.resistance_curve
+        monkeypatch.setattr(simulate, "resistance_curve", counting)
+        cfg = default_config(noise=quiet_noise, fields_mT=(1.0, 4.0), replications=2,
+                             points_per_sweep=100)
+        # 24 sweeps; ramps: zero field and two fields, per sample
+        trips = run_campaign(cfg)
+        assert len(trips) * 3 == 24 and len(calls) == 6
+        # the memo lives for one call only
+        run_campaign(cfg)
+        assert len(calls) == 12
+        for _, sweep in trips[0].sweeps():
+            for array in (sweep.tau_s, sweep.r_meas_ohm):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
 
     def test_cavity_film_must_be_campaign_film(self, film):
         # the manifest snapshot stores one film, which the cavity sweeps would
@@ -190,6 +226,38 @@ class TestRunCampaign:
         expected = cavity_shift(cavity, 3.0, cfg.enhancement)
         assert gap_uK == pytest.approx(expected, abs=0.5)
         assert 240 < gap_uK < 320
+
+
+@pytest.mark.parametrize("record, key, value", [
+    *[("film", key, math.nan) for key in
+      ("thickness_nm", "lambda0_nm", "h0_mT", "tc0_K", "rn_ohm", "width_mK", "theta_rad")],
+    ("film", "tc0_K", math.inf),
+    ("cavity", "shift_max_uK", math.nan),
+    ("cavity", "shift_max_uK", math.inf),
+    ("cavity", "h_rise_mT", math.nan),
+    ("cavity", "h_merge_mT", math.nan),
+    ("thermal", "t_env_K", math.nan),
+    ("thermal", "t_env_K", math.inf),
+    ("thermal", "x_eff", math.nan),
+    ("noise", "sigma_fast_uK", math.nan),
+    ("noise", "sigma_fast_uK", math.inf),
+    ("noise", "drift_uK_per_hr", math.nan),
+    ("noise", "drift_uK_per_hr", -math.inf),
+    ("campaign", "fields_mT", (1.0, math.nan)),
+    ("campaign", "fields_mT", (math.inf,)),
+    ("campaign", "sweep_duration_s", math.nan),
+    ("campaign", "sweep_duration_s", math.inf),
+    ("campaign", "points_per_sweep", math.nan),
+    ("campaign", "replications", math.nan),
+    ("campaign", "homogeneity", math.nan),
+    ("campaign", "homogeneity", math.inf),
+])
+def test_records_reject_non_finite_values(record, key, value):
+    cfg = default_config()
+    base = {"film": cfg.film, "cavity": cfg.cavity, "thermal": ThermalEnvironment(),
+            "noise": cfg.noise, "campaign": cfg}[record]
+    with pytest.raises(ValueError):
+        dataclasses.replace(base, **{key: value})
 
 
 class TestSubSeeding:
