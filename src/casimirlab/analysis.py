@@ -12,11 +12,13 @@ sweep in one `invert_trace` call, and the estimators read them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    DataError,
     IncompleteTransition,
     InsufficientData,
     NonMonotonic,
@@ -172,34 +174,50 @@ def pav_increasing(y: np.ndarray) -> np.ndarray:
 
 
 def _invert_chunk(sweeps, levels, rn_ohm: float):
-    """invert_trace of sweeps of one length: (T rows, displaced fraction, first and last knot R).
+    """invert_trace of sweeps of one length: (T rows, displaced fraction, first and last knot R,
+    whether each row is finite).
 
     The rows are sorted and pooled together, then read off their own knots by np.interp.
+    A row with a non-finite reading is inverted as zeros, so that it pollutes no arithmetic.
     """
     t = np.array([s.t_meas_K for s in sweeps], dtype=float)
     r = np.array([s.r_meas_ohm for s in sweeps], dtype=float)
     k, n = t.shape
+    finite = np.isfinite(t).all(axis=1) & np.isfinite(r).all(axis=1)
+    if not finite.all():
+        t[~finite] = r[~finite] = 0.0
+    # one flat gather of both arrays in each row's stable sort order
     order = np.argsort(t, axis=1, kind="stable")
-    t, r = np.take_along_axis(t, order, axis=1), np.take_along_axis(r, order, axis=1)
+    order += np.arange(0, k * n, n)[:, None]
+    t, r = t.ravel()[order], r.ravel()[order]
     r_fit = pav_increasing(r)
     displaced = np.count_nonzero(np.abs(r_fit - r) > DISCARD_TOLERANCE * rn_ohm, axis=1) / n
 
     # one knot per pool: (pool R, mean T of the pool from its own row's cumsum)
-    opens = np.ones((k, n), dtype=bool)  # a point that opens a pool
-    opens[:, 1:] = np.diff(r_fit, axis=1) > 0
+    opens = np.empty((k, n), dtype=bool)  # a point that opens a pool
+    opens[:, 0] = True
+    np.greater(r_fit[:, 1:], r_fit[:, :-1], out=opens[:, 1:])
     start = np.flatnonzero(opens)
     knot_r = r_fit.ravel()[start]
-    row, begin = np.divmod(start, n)
-    end = np.append(begin[1:], n)
-    end[end == 0] = n  # a row's last pool ends at the row's end
+    row = start // n
+    firsts = np.flatnonzero(row[1:] != row[:-1]) + 1  # each row's first knot, but row 0's
+    # flat positions in the (k, n + 1) cumsum: a pool ends where the next one begins,
+    # or one short of it (at its row's end) when the next one opens a row
     sums = np.zeros((k, n + 1))
     np.cumsum(t, axis=1, out=sums[:, 1:])
-    knot_t = (sums[row, end] - sums[row, begin]) / (end - begin)
+    begin = start + row
+    end = np.append(begin[1:], k * (n + 1))
+    end[firsts - 1] -= 1
+    end[-1] -= 1
+    sums = sums.ravel()
+    knot_t = (sums[end] - sums[begin]) / (end - begin)
 
-    splits = np.flatnonzero(np.diff(row)) + 1
-    temps = [np.interp(levels, r_knots, t_knots)
-             for r_knots, t_knots in zip(np.split(knot_r, splits), np.split(knot_t, splits))]
-    return np.array(temps), displaced, r_fit[:, [0, -1]]
+    temps = np.empty((k, len(levels)))
+    edges = [0, *firsts.tolist(), len(start)]
+    for i in range(k):
+        a, b = edges[i], edges[i + 1]
+        temps[i] = np.interp(levels, knot_r[a:b], knot_t[a:b])
+    return temps, displaced, r_fit[:, [0, -1]], finite
 
 
 def invert_trace(sweeps, r_levels, rn_ohm: float) -> np.ndarray:
@@ -214,7 +232,8 @@ def invert_trace(sweeps, r_levels, rn_ohm: float) -> np.ndarray:
     INVERSION_CHUNK_POINTS points, bit-identical to inverting each alone.
 
     A level outside the (0.2, 0.8)*RN averaging window, a NaN level or an
-    r_levels that is not 1-D raises ValueError. A sweep whose pooling
+    r_levels that is not 1-D raises ValueError. A sweep with a non-finite
+    T or R reading raises DataError naming the column. A sweep whose pooling
     displaced more than DISCARD_LIMIT of its points raises NonMonotonic, and
     one whose monotone knots do not reach the lowest and the highest level
     raises IncompleteTransition instead of reading a clamped end knot. Of
@@ -227,6 +246,7 @@ def invert_trace(sweeps, r_levels, rn_ohm: float) -> np.ndarray:
     temps = np.empty((len(sweeps), len(levels)))
     displaced = np.empty(len(sweeps))
     knot_span = np.empty((len(sweeps), 2))
+    finite = np.empty(len(sweeps), dtype=bool)
     by_length = {}
     for i, sweep in enumerate(sweeps):
         by_length.setdefault(len(sweep.r_meas_ohm), []).append(i)
@@ -234,14 +254,20 @@ def invert_trace(sweeps, r_levels, rn_ohm: float) -> np.ndarray:
         step = max(1, INVERSION_CHUNK_POINTS // n)
         for c in range(0, len(members), step):
             chunk = members[c:c + step]
-            temps[chunk], displaced[chunk], knot_span[chunk] = _invert_chunk(
+            temps[chunk], displaced[chunk], knot_span[chunk], finite[chunk] = _invert_chunk(
                 [sweeps[i] for i in chunk], levels, rn_ohm)
 
     faulty = np.flatnonzero(
-        (displaced > DISCARD_LIMIT) | (knot_span[:, 0] > lo) | (knot_span[:, 1] < hi))
+        ~finite | (displaced > DISCARD_LIMIT) | (knot_span[:, 0] > lo) | (knot_span[:, 1] < hi))
     if len(faulty):
         i = faulty[0]
         trace = sweeps[i]
+        if not finite[i]:
+            column = "T_meas_K" if not np.isfinite(trace.t_meas_K).all() else "R_meas_ohm"
+            raise DataError(
+                f"{trace.kind} sweep {trace.sample_id} at {trace.field_mT} mT starting at "
+                f"{trace.t_start_s} s has a non-finite {column}"
+            )
         if displaced[i] > DISCARD_LIMIT:
             raise NonMonotonic(
                 f"monotonization displaced {displaced[i]:.0%} of points "
@@ -295,21 +321,27 @@ def extract_tc0(trace: SweepTrace, rn_ohm: float) -> float:
     drift_corrected_shift otherwise. A sweep that does not reach the levels
     raises IncompleteTransition, as in invert_trace.
     """
-    return float(_level_temperatures([trace], rn_ohm)[0].mean())
+    row = _level_temperatures([trace], rn_ohm)[0]
+    return float(row.sum() / row.size)  # row.mean()'s steps, without its dispatch
 
 
 def estimate_shift(t_zero, t_field, tc0_K: float) -> tuple[float, float]:
     """Averaged-difference estimator: delta_t = mean_R [T(R,0) - T(R,H)] / Tc0.
 
     t_zero and t_field are T(R) of a zero-field and an in-field sweep at the
-    same resistance levels. Returns (delta_t, sigma); the standard error
-    divides the per-level scatter by sqrt(levels / LEVEL_CORRELATION_FACTOR)
-    to account for the correlation between adjacent levels.
+    same resistance levels. Returns (delta_t, sigma) as Python floats; the
+    standard error divides the per-level scatter by
+    sqrt(levels / LEVEL_CORRELATION_FACTOR) to account for the correlation
+    between adjacent levels. The mean and the scatter take np.mean's and
+    np.std(ddof=1)'s steps in their order, so they equal those bit for bit.
     """
     diffs = t_zero - t_field
-    delta_t = float(diffs.mean()) / tc0_K
-    n_eff = max(1.0, len(diffs) / LEVEL_CORRELATION_FACTOR)
-    return delta_t, float(diffs.std(ddof=1)) / np.sqrt(n_eff) / tc0_K
+    n = len(diffs)
+    mean = diffs.sum() / n
+    dev = diffs - mean
+    std = math.sqrt((dev * dev).sum() / (n - 1))
+    n_eff = max(1.0, n / LEVEL_CORRELATION_FACTOR)
+    return float(mean) / tc0_K, std / math.sqrt(n_eff) / tc0_K
 
 
 def drift_corrected_shift(triplet: TripletRecord, tc0_K: float, rn_ohm: float) -> ShiftEstimate:

@@ -70,7 +70,9 @@ class NoiseModel:
 class SweepTrace:
     """One timed transition sweep at fixed applied field.
 
-    tau_s, t_meas_K, r_meas_ohm are parallel arrays ordered by time.
+    tau_s, t_meas_K, r_meas_ohm are parallel arrays ordered by time, of one
+    length (else ValueError). The analysis needs finite readings: invert_trace
+    raises DataError on a sweep with a non-finite T or R.
     field_mT is the applied (signed) field; t_start_s the campaign-clock
     offset of the first point. The arrays must not be modified after
     construction: the analysis keeps the sweep's level temperatures on the
@@ -91,6 +93,8 @@ class SweepTrace:
     def __post_init__(self):
         if self.kind not in ("film", "cavity"):
             raise ValueError(f"unknown sweep kind {self.kind!r}")
+        if not len(self.tau_s) == len(self.t_meas_K) == len(self.r_meas_ohm):
+            raise ValueError("sweep arrays must have one length")
         if len(self.tau_s) < MIN_SWEEP_POINTS:
             raise ValueError(f"sweep needs >= {MIN_SWEEP_POINTS} points")
         if not (self.tau_s[1:] > self.tau_s[:-1]).all():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimirlab import (
@@ -33,6 +33,7 @@ from casimirlab.analysis import (
 )
 from casimirlab.config import default_config
 from casimirlab.errors import (
+    DataError,
     IncompleteTransition,
     InsufficientData,
     NonMonotonic,
@@ -40,6 +41,7 @@ from casimirlab.errors import (
 )
 from casimirlab.physics import transition_midpoint, transition_width_e
 from casimirlab.pipeline import analyze_campaign, sample_tc0
+from casimirlab.simulate import MIN_SWEEP_POINTS
 
 
 def make_trace(t, r, field=0.0, sample_id="s", kind="film", t_start=0.0):
@@ -166,6 +168,66 @@ def row_batches(draw):
     return np.array(rows, dtype=float)
 
 
+def batch_sweep(shape, n, draw):
+    """(t, r) of one n-point sweep of sweep_batches, of the given shape."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = 1.5 + np.linspace(-5e-3, 5e-3, n)
+    if shape == "two knots":  # a step from 0 to RN
+        r = np.where(np.arange(n) < draw(st.integers(1, n - 1)), 0.0, 300.0)
+    elif shape == "flat":  # one knot, short of the levels
+        r = np.full(n, 150.0)
+    elif shape == "decreasing":  # one knot that displaces most points
+        r = np.linspace(300.0, 0.0, n)
+    else:
+        r = 300.0 / (1.0 + np.exp(-(t - 1.5) / 1e-3))
+        r = r + rng.normal(0.0, draw(st.sampled_from([0.0, 1.0, 10.0])), n)
+        t = t + rng.normal(0.0, draw(st.sampled_from([0.0, 1e-5, 1e-4])), n)
+        decimals = draw(st.sampled_from([None, 4, 3]))
+        if decimals:
+            t = np.round(t, decimals)  # tied temperatures, which keep their order in time
+        if shape == "non-finite":
+            column = t if draw(st.booleans()) else r
+            column[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf,
+                                                                        -math.inf]))
+    return t, r
+
+
+@st.composite
+def sweep_batches(draw):
+    """(sweeps of one length, sweeps per inversion chunk or None for the default):
+    noisy logistic sweeps, some with tied temperatures, and sweeps of two knots,
+    among which up to two faulty ones: of one knot, or with a non-finite reading."""
+    n = draw(st.integers(MIN_SWEEP_POINTS, 90))
+    # two noisy sweeps to one of two knots
+    shapes = draw(st.lists(st.sampled_from(["noisy", "noisy", "two knots"]),
+                           min_size=1, max_size=8))
+    faults = st.lists(st.sampled_from(["flat", "decreasing", "non-finite"]), min_size=1, max_size=2)
+    for fault in draw(faults) if draw(st.booleans()) else []:
+        shapes.insert(draw(st.integers(0, len(shapes))), fault)
+    sweeps = [SweepTrace(f"s{j}", "film", 0.0, 0.0, np.arange(n, dtype=float),
+                         *batch_sweep(shape, n, draw))
+              for j, shape in enumerate(shapes)]
+    return sweeps, draw(st.sampled_from([1, 2, 3, None]))
+
+
+@st.composite
+def level_temperatures(draw):
+    """(t_zero, t_field, tc0_K, exact): level temperatures at offsets up to 1e6 K
+    whose differences are random or, when `exact`, one constant on a 2**-20 K
+    grid, which every sum and mean of them keeps exactly."""
+    n = draw(st.sampled_from([2, 50]) | st.integers(2, 60))
+    zero_offset, field_offset = (draw(st.sampled_from([0.0, 1.5, 1e6, -1e6])) for _ in "zf")
+    tc0_K = draw(st.floats(0.1, 10.0))
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.integers(-2**15, 2**15), min_size=n, max_size=n))
+        t_field = field_offset + np.array(steps) * 2.0**-20
+        return t_field + draw(st.integers(-2**15, 2**15)) * 2.0**-20, t_field, tc0_K, True
+    t_zero, t_field = (offset + np.array(draw(st.lists(st.floats(-1e-2, 1e-2),
+                                                       min_size=n, max_size=n)))
+                       for offset in (zero_offset, field_offset))
+    return t_zero, t_field, tc0_K, False
+
+
 class TestPav:
     def test_identity_on_monotone(self):
         y = np.linspace(0, 1, 50)
@@ -263,6 +325,15 @@ class TestExtractTc0:
         keep = (tr.r_meas_ohm > 0.15 * film.rn_ohm) & (tr.r_meas_ohm < 0.85 * film.rn_ohm)
         cut = make_trace(tr.t_meas_K[keep], tr.r_meas_ohm[keep])
         assert abs(extract_tc0(cut, film.rn_ohm) - film.tc0_K) < 1e-12
+
+    def test_mean_of_the_level_row_bit_for_bit(self, film):
+        for seed in range(20):
+            tr = generate_sweep(film, 0.0, NoiseModel(sigma_fast_uK=30.0, seed=seed),
+                                0.0, 1200.0, 600)
+            [row] = invert_trace([tr], default_levels(film.rn_ohm), film.rn_ohm)
+            tc0 = extract_tc0(tr, film.rn_ohm)
+            assert type(tc0) is float
+            assert bits(tc0) == bits(float(row.mean()))
 
     def test_noisy_recovery_within_10uK(self, film):
         errs = []
@@ -445,6 +516,64 @@ class TestInvertTrace:
         for sweep, row in zip(sweeps, temps):
             np.testing.assert_array_equal(bits(invert_trace([sweep], levels, 300.0)[0]), bits(row))
 
+    @given(sweep_batches())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_batches_match_one_by_one(self, batch):
+        # a batch is inverted as each sweep alone, in chunks of 1, 2, 3 or the
+        # default number of sweeps, or fails as its first faulty sweep alone
+        sweeps, per_chunk = batch
+        levels = default_levels(300.0)
+        errors = []
+        for sweep in sweeps:
+            try:
+                invert_trace([sweep], levels, 300.0)
+            except DataError as alone:
+                errors.append(alone)
+        with pytest.MonkeyPatch.context() as patch:
+            if per_chunk:
+                patch.setattr(analysis, "INVERSION_CHUNK_POINTS", per_chunk * sweeps[0].n_points)
+            if errors:
+                with pytest.raises(DataError) as batched:
+                    invert_trace(sweeps, levels, 300.0)
+                assert type(batched.value) is type(errors[0])
+                assert str(batched.value) == str(errors[0])
+                return
+            temps = invert_trace(sweeps, levels, 300.0)
+        expected = [invert_one_by_one(s, levels, 300.0) for s in sweeps]
+        np.testing.assert_array_equal(bits(temps), bits(expected))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("attribute, column", [("t_meas_K", "T_meas_K"),
+                                                   ("r_meas_ohm", "R_meas_ohm")])
+    def test_non_finite_reading_rejected(self, film, attribute, column, value):
+        tr = logistic_trace(film, n=400, field=3.0, t_start=600.0)
+        readings = getattr(tr, attribute).copy()
+        readings[200] = value
+        sweep = dataclasses.replace(tr, **{attribute: readings})
+        message = (rf"^film sweep {tr.sample_id} at 3.0 mT starting at 600.0 s "
+                   rf"has a non-finite {column}$")
+        with pytest.raises(DataError, match=message) as exc:
+            invert_trace([sweep], default_levels(film.rn_ohm), film.rn_ohm)
+        assert type(exc.value) is DataError
+        with pytest.raises(DataError, match=message):
+            extract_tc0(sweep, film.rn_ohm)
+
+    def test_first_of_non_finite_and_non_monotonic_sweeps_named(self, film):
+        clean = logistic_trace(film, n=400)
+        t = clean.t_meas_K.copy()
+        t[100] = math.nan
+        nan_sweep = dataclasses.replace(clean, sample_id="nan", t_meas_K=t)
+        backwards = dataclasses.replace(clean, sample_id="backwards",
+                                        r_meas_ohm=clean.r_meas_ohm[::-1].copy())
+        levels = default_levels(film.rn_ohm)
+        with pytest.raises(NonMonotonic):
+            invert_trace([backwards], levels, film.rn_ohm)
+        with pytest.raises(DataError, match="sweep nan at") as exc:
+            invert_trace([clean, nan_sweep, backwards], levels, film.rn_ohm)
+        assert type(exc.value) is DataError
+        with pytest.raises(NonMonotonic, match="sweep backwards at"):
+            invert_trace([clean, backwards, nan_sweep], levels, film.rn_ohm)
+
     def test_garbage_trace_rejected(self, film):
         t = np.linspace(film.tc0_K - 5e-3, film.tc0_K + 5e-3, 200)
         r = np.linspace(film.rn_ohm, 0.0, 200)  # backwards transition
@@ -453,6 +582,22 @@ class TestInvertTrace:
 
 
 class TestEstimateShift:
+    @given(level_temperatures())
+    @example((np.full(2, 1.5), np.full(2, 1.25), 1.5, True))
+    @example((1e6 + np.linspace(0.0, 1e-3, 50), np.linspace(0.0, 1e-3, 50)[::-1], 1.5, False))
+    @settings(max_examples=300, derandomize=True)
+    def test_bits_of_numpy_mean_and_std(self, temperatures):
+        t_zero, t_field, tc0_K, exact = temperatures
+        diffs = t_zero - t_field
+        n_eff = max(1.0, len(diffs) / LEVEL_CORRELATION_FACTOR)
+        delta_t, sigma = estimate_shift(t_zero, t_field, tc0_K)
+        assert type(delta_t) is float and type(sigma) is float
+        expected = (float(np.mean(diffs)) / tc0_K,
+                    float(np.std(diffs, ddof=1)) / math.sqrt(n_eff) / tc0_K)
+        np.testing.assert_array_equal(bits([delta_t, sigma]), bits(expected))
+        if exact:
+            assert sigma == 0.0
+
     def test_identical_traces_zero(self, film):
         tr = logistic_trace(film)
         est = one_sided_shift(tr, tr, film.tc0_K, rn_ohm=film.rn_ohm)

@@ -99,6 +99,13 @@ class TestGenerateSweep:
         shift = plus.t_meas_K - minus.t_meas_K
         np.testing.assert_allclose(shift, -expected * film.tc0_K, rtol=1e-9)
 
+    @pytest.mark.parametrize("column", ["tau_s", "t_meas_K", "r_meas_ohm"])
+    def test_sweep_arrays_must_have_one_length(self, film, quiet_noise, column):
+        # 200 readings in two columns and 150 in the third
+        tr = generate_sweep(film, 0.0, quiet_noise, 0.0, 1200.0, 200)
+        with pytest.raises(ValueError, match="^sweep arrays must have one length$"):
+            dataclasses.replace(tr, **{column: getattr(tr, column)[:150]})
+
 
 class TestRunTriplet:
     def test_schedule_symmetry(self, noiseless_config):
