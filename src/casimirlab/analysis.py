@@ -59,8 +59,10 @@ class ShiftEstimate:
     replication: int = 0
 
     def __post_init__(self):
-        if self.sigma_delta_t < 0:
-            raise ValueError("shift uncertainty must be non-negative")
+        if not math.isfinite(self.delta_t):
+            raise ValueError("shift must be finite")
+        if not 0 <= self.sigma_delta_t < math.inf:
+            raise ValueError("shift uncertainty must be finite and non-negative")
 
     def shift_uK(self, tc0_K: float) -> float:
         return self.delta_t * tc0_K * 1e6
@@ -85,6 +87,8 @@ class FitResult:
         cov = np.asarray(self.covariance, dtype=float)
         if cov.shape != (2, 2):
             raise ValueError("covariance must be 2x2")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and np.isfinite(cov).all()):
+            raise ValueError("fit coefficients and covariance must be finite")
         if abs(cov[0, 1] - cov[1, 0]) > 1e-12 * (1.0 + abs(cov[0, 1])):
             raise ValueError("covariance must be symmetric")
 
@@ -108,6 +112,12 @@ class DifferentialSignal:
     max_gap_uK: float
     field_at_max_mT: float
     sigma_at_max_uK: float
+
+    def __post_init__(self):
+        if not len(self.field_mT) == len(self.gap_uK) == len(self.sigma_uK):
+            raise ValueError("differential signal arrays must have one length")
+        if not np.isfinite([self.field_mT, self.gap_uK, self.sigma_uK]).all():
+            raise ValueError("differential signal arrays must be finite")
 
     @property
     def significance(self) -> float:
@@ -231,18 +241,21 @@ def invert_trace(sweeps, r_levels, rn_ohm: float) -> np.ndarray:
     Sweeps of one length are inverted together, in chunks of at most
     INVERSION_CHUNK_POINTS points, bit-identical to inverting each alone.
 
-    A level outside the (0.2, 0.8)*RN averaging window, a NaN level or an
-    r_levels that is not 1-D raises ValueError. A sweep with a non-finite
-    T or R reading raises DataError naming the column. A sweep whose pooling
-    displaced more than DISCARD_LIMIT of its points raises NonMonotonic, and
-    one whose monotone knots do not reach the lowest and the highest level
-    raises IncompleteTransition instead of reading a clamped end knot. Of
-    several faulty sweeps, the first in the sequence is named.
+    A level outside the (0.2, 0.8)*RN averaging window, a NaN level, fewer
+    than 2 levels or an r_levels that is not 1-D raises ValueError. A sweep
+    with a non-finite T or R reading raises DataError naming the column. A
+    sweep whose pooling displaced more than DISCARD_LIMIT of its points
+    raises NonMonotonic, and one whose monotone knots do not reach the
+    lowest and the highest level raises IncompleteTransition instead of
+    reading a clamped end knot. Of several faulty sweeps, the first in the
+    sequence is named.
     """
     levels = np.asarray(r_levels, dtype=float)
     lo, hi = levels.min(), levels.max()
-    if not (levels.ndim == 1 and lo > WINDOW_LO * rn_ohm and hi < WINDOW_HI * rn_ohm):
-        raise ValueError("resistance levels must be a 1-D array inside the (0.2, 0.8)*RN window")
+    if not (levels.ndim == 1 and len(levels) >= 2
+            and lo > WINDOW_LO * rn_ohm and hi < WINDOW_HI * rn_ohm):
+        raise ValueError("resistance levels must be a 1-D array of at least 2 levels inside "
+                         "the (0.2, 0.8)*RN window")
     temps = np.empty((len(sweeps), len(levels)))
     displaced = np.empty(len(sweeps))
     knot_span = np.empty((len(sweeps), 2))

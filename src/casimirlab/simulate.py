@@ -8,7 +8,8 @@ film and the in-cavity film.
 All randomness descends from a single master seed. Each sweep draws from
 its own generator whose sub-seed is a deterministic hash of
 (master seed, sample id, applied field, sweep start time), so a campaign
-can be generated in any order with bit-identical results.
+can be generated in any order with bit-identical results. `run_campaign`
+derives every sweep's generator state in one batch, equal to `sweep_rng`'s.
 
 A sweep is a noiseless ramp (the time grid, the true-temperature grid and
 the model resistance on it) plus its own drift and noise. The zero-field
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -180,11 +182,69 @@ class CampaignConfig:
         return thermal_enhancement(self.film.tc0_K, self.thermal)
 
 
+def _sweep_key(sample_id: str, field_mT: float, t_start_s: float) -> bytes:
+    return f"{sample_id}|{field_mT:.9g}|{t_start_s:.3f}".encode()
+
+
+def _sub_seed(key: bytes) -> int:
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+
+
 def sweep_rng(seed: int, sample_id: str, field_mT: float, t_start_s: float):
-    """Per-sweep generator, a pure function of its identifying tuple."""
-    key = f"{sample_id}|{field_mT:.9g}|{t_start_s:.3f}".encode()
-    sub = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+    """Per-sweep generator, a pure function of its identifying tuple.
+
+    The reference that `run_campaign`'s batch seeding (`_batch_rng`) reproduces.
+    """
+    sub = _sub_seed(_sweep_key(sample_id, field_mT, t_start_s))
     return np.random.default_rng(np.random.SeedSequence([int(seed), sub]))
+
+
+def _batch_rng(seed: int, sweeps):
+    """sweep_rng for each (sample_id, field_mT, t_start_s) of `sweeps`, seeded in one batch.
+
+    The returned function takes sweep_rng's arguments (the seed is the
+    batch's) and sets the sweep's state on one reused Generator. It
+    repeats numpy's seeding, fixed by its stream-compatibility policy:
+    SeedSequence hashes the words of [seed, sub] (at most four, a missing
+    one as a zero) into a pool of four and draws from it PCG64's 128-bit
+    seed and stream, from which PCG64 sets its state in two LCG steps.
+    Constants stay Python ints, as numpy scalars warn on overflow.
+    """
+    keys = [_sweep_key(*sweep) for sweep in sweeps]
+    subs = np.array([_sub_seed(key) for key in keys], dtype=np.uint64)
+    seed, mask32 = int(seed), 0xFFFFFFFF
+    words = [seed & mask32] + ([seed >> 32] if seed >> 32 else []) + [subs & mask32, subs >> 32]
+
+    def hasher(const, mult):
+        def hashmix(value):
+            nonlocal const
+            value = value ^ const
+            const = const * mult & mask32
+            value = value * const
+            return value ^ value >> 16
+        return hashmix
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(np.broadcast_to(w, subs.shape).astype(np.uint32))
+            for w in words + [0] * (4 - len(words))]
+    for src, dst in itertools.permutations(range(4), 2):
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])
+        pool[dst] = mixed ^ mixed >> 16
+    draw = hasher(0x8B51F9DD, 0x58F38DED)
+    drawn = np.array([draw(pool[i % 4]) for i in range(8)], dtype=np.uint64)
+    mult, mask128, states = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1, {}
+    for key, s_hi, s_lo, i_hi, i_lo in zip(keys, *(drawn[::2] | drawn[1::2] << 32).tolist()):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & mask128
+        states[key] = ((inc + (s_hi << 64 | s_lo)) * mult + inc) & mask128, inc
+    generator = np.random.default_rng(0)
+
+    def rng(_seed, *sweep):
+        state, inc = states[_sweep_key(*sweep)]
+        generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                         "uinteger": 0, "state": {"state": state, "inc": inc}}
+        return generator
+
+    return rng
 
 
 def _ramp(sample: FilmParams | CavityParams, h_mT: float, duration_s: float, n: int,
@@ -213,6 +273,7 @@ def generate_sweep(
     enhancement: float = 1.0,
     *,
     ramp=_ramp,
+    rng=sweep_rng,
 ) -> SweepTrace:
     """Simulate one transition sweep.
 
@@ -222,8 +283,9 @@ def generate_sweep(
     `sample` gives a "film" sweep and a CavityParams a "cavity" sweep. The
     sweep's tau_s and r_meas_ohm are read-only.
 
-    `ramp` is how `run_campaign` hands down its per-campaign memo of the
-    noiseless ramp; it is not a tuning option, and other callers leave it.
+    `ramp` and `rng` are how `run_campaign` hands down its per-campaign memo
+    of the noiseless ramp and its batch-seeded stand-in for `sweep_rng`;
+    they are not tuning options, and other callers leave them.
     """
     if n < MIN_SWEEP_POINTS:
         raise ConfigError(f"sweep needs >= {MIN_SWEEP_POINTS} points, got {n}")
@@ -234,11 +296,24 @@ def generate_sweep(
         sample_id = kind
 
     tau, t_true, r_meas = ramp(sample, h_mT, duration_s, n, enhancement)
-    rng = sweep_rng(noise.seed, sample_id, h_mT, t_start_s)
+    generator = rng(noise.seed, sample_id, h_mT, t_start_s)
     drift_K = noise.drift_uK_per_hr * 1e-6 * (t_start_s + tau) / 3600.0
-    t_meas = t_true + drift_K + rng.normal(0.0, noise.sigma_fast_uK * 1e-6, n)
+    t_meas = t_true + drift_K + generator.normal(0.0, noise.sigma_fast_uK * 1e-6, n)
 
     return SweepTrace(sample_id, kind, h_mT, t_start_s, tau, t_meas, r_meas)
+
+
+def _triplet_sweeps(config: CampaignConfig, kind: str, h_mT: float, t_start_s: float):
+    """(params, [(sample_id, field, t_start) of the pre, mid and post sweeps])."""
+    if kind == "cavity":
+        params, sample_id = config.cavity, config.cavity_sample_id
+        h_applied = h_mT * (1.0 + config.homogeneity)
+    else:
+        params, sample_id = config.film, config.film_sample_id
+        h_applied = h_mT
+    spacing = config.sweep_duration_s
+    return params, [(sample_id, h, t_start_s + i * spacing)
+                    for i, h in enumerate((0.0, h_applied, 0.0))]
 
 
 def run_triplet(
@@ -249,39 +324,23 @@ def run_triplet(
     replication: int = 0,
     *,
     ramp=_ramp,
+    rng=sweep_rng,
 ) -> TripletRecord:
     """One zero-field / field / zero-field trio at equal time intervals.
 
     Cool-down always happens in zero field, so no flux-trapping state is
     carried between sweeps. The cavity sample sees the nominal field scaled
     by (1 + homogeneity) to model the residual coil inhomogeneity. `ramp`
-    is `run_campaign`'s per-campaign ramp memo, passed on to
-    `generate_sweep`; it is not a tuning option.
+    and `rng` are `run_campaign`'s per-campaign ramp memo and batch-seeded
+    generators, passed on to `generate_sweep`; they are not tuning options.
     """
-    if kind == "cavity":
-        params, sample_id = config.cavity, config.cavity_sample_id
-        h_applied = h_mT * (1.0 + config.homogeneity)
-    else:
-        params, sample_id = config.film, config.film_sample_id
-        h_applied = h_mT
-    spacing = config.sweep_duration_s
-
-    def one(h, offset):
-        return generate_sweep(
-            params,
-            h,
-            config.noise,
-            t_start_s + offset,
-            config.sweep_duration_s,
-            config.points_per_sweep,
-            sample_id=sample_id,
-            enhancement=config.enhancement,
-            ramp=ramp,
-        )
-
-    pre = one(0.0, 0.0)
-    mid = one(h_applied, spacing)
-    post = one(0.0, 2.0 * spacing)
+    params, sweeps = _triplet_sweeps(config, kind, h_mT, t_start_s)
+    pre, mid, post = (
+        generate_sweep(params, h, config.noise, t, config.sweep_duration_s,
+                       config.points_per_sweep, sample_id=sample_id,
+                       enhancement=config.enhancement, ramp=ramp, rng=rng)
+        for sample_id, h, t in sweeps
+    )
     return TripletRecord(pre, mid, post, h_mT, replication)
 
 
@@ -310,10 +369,12 @@ def run_campaign(config: CampaignConfig):
 
     Each distinct noiseless ramp is computed once per call and shared by
     the sweeps that repeat it (every zero-field sweep of a sample, every
-    replication of a field); the memo lives only as long as this call.
+    replication of a field); the memo lives only as long as this call. The
+    sweeps' generator states are derived in one batch (`_batch_rng`).
     """
+    tasks = campaign_schedule(config)
     ramp = functools.cache(_ramp)
-    return [
-        run_triplet(config, kind, h, t0, rep, ramp=ramp)
-        for kind, h, rep, t0 in campaign_schedule(config)
-    ]
+    rng = _batch_rng(config.noise.seed, [
+        sweep for kind, h, _, t0 in tasks for sweep in _triplet_sweeps(config, kind, h, t0)[1]])
+    return [run_triplet(config, kind, h, t0, rep, ramp=ramp, rng=rng)
+            for kind, h, rep, t0 in tasks]

@@ -455,16 +455,17 @@ class TestInvertTrace:
 
     def test_midpoint_level_matches_tc0_extraction(self, film):
         tr = logistic_trace(film, n=1200)
-        [[t_at]] = invert_trace([tr], [film.rn_ohm / 2], film.rn_ohm)
+        t_at = invert_trace([tr], [film.rn_ohm / 2] * 2, film.rn_ohm)[0, 0]
         assert t_at == pytest.approx(extract_tc0(tr, film.rn_ohm), abs=2e-5)
 
     def test_levels_outside_window_rejected(self, film):
         tr = logistic_trace(film)
         levels = default_levels(film.rn_ohm)
-        # a scalar level and a grid of levels are rejected as well as levels outside it
+        # a scalar level, a grid of levels and one level are rejected as well as
+        # levels outside the window
         for bad in ([0.1 * film.rn_ohm], [0.5 * film.rn_ohm, math.nan], levels[7],
-                    levels.reshape(5, 10)):
-            with pytest.raises(ValueError):
+                    levels.reshape(5, 10), [0.5 * film.rn_ohm]):
+            with pytest.raises(ValueError, match="1-D array of at least 2 levels inside"):
                 invert_trace([tr], bad, film.rn_ohm)
 
     def test_sweep_short_of_the_levels_rejected(self, film):
@@ -578,7 +579,7 @@ class TestInvertTrace:
         t = np.linspace(film.tc0_K - 5e-3, film.tc0_K + 5e-3, 200)
         r = np.linspace(film.rn_ohm, 0.0, 200)  # backwards transition
         with pytest.raises(NonMonotonic):
-            invert_trace([make_trace(t, r)], [150.0], film.rn_ohm)
+            invert_trace([make_trace(t, r)], [150.0, 160.0], film.rn_ohm)
 
 
 class TestEstimateShift:
@@ -897,3 +898,32 @@ class TestDifferentialAndSensitivity:
         )
         with pytest.raises(InsufficientData):
             differential_signal(fit, [], film.tc0_K)
+
+
+@pytest.mark.parametrize("record, key, value", [
+    ("shift", "delta_t", math.nan),
+    ("shift", "delta_t", -math.inf),
+    ("shift", "sigma_delta_t", math.nan),
+    ("shift", "sigma_delta_t", math.inf),
+    ("shift", "sigma_delta_t", -1e-9),
+    ("fit", "a", math.nan),
+    ("fit", "b", math.inf),
+    ("fit", "covariance", np.full((2, 2), math.nan)),
+    ("fit", "covariance", np.array([[1e-14, math.inf], [math.inf, 1e-14]])),
+    ("signal", "field_mT", np.array([math.nan, 2.0])),
+    ("signal", "gap_uK", np.array([1.0, math.nan])),
+    ("signal", "sigma_uK", np.array([math.inf, 1.0])),
+    ("signal", "gap_uK", np.array([1.0])),
+])
+def test_records_reject_non_finite_values(record, key, value):
+    base = {
+        "shift": ShiftEstimate(7.2, 5e-5, 1e-6, "film01"),
+        "fit": analysis.FitResult(a=1e-6, b=0.0, covariance=np.eye(2) * 1e-14,
+                                  rms_residual=0.0, n_points=3, field_threshold_mT=5.0),
+        "signal": analysis.DifferentialSignal(
+            field_mT=np.array([1.0, 2.0]), gap_uK=np.array([1.0, 2.0]),
+            sigma_uK=np.array([0.5, 0.5]), max_gap_uK=2.0, field_at_max_mT=2.0,
+            sigma_at_max_uK=0.5),
+    }[record]
+    with pytest.raises(ValueError):
+        dataclasses.replace(base, **{key: value})

@@ -1,10 +1,13 @@
 """Simulator tests: determinism, drift, scheduling and campaign structure."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from casimirlab import (
     CavityParams,
@@ -20,7 +23,7 @@ from casimirlab import (
 from casimirlab.config import default_config
 from casimirlab.errors import ConfigError
 from casimirlab.physics import transition_midpoint, transition_width_e
-from casimirlab.simulate import campaign_schedule, sweep_rng
+from casimirlab.simulate import _batch_rng, campaign_schedule, sweep_rng
 
 
 def invert_noiseless(trace, film, level_ohm):
@@ -154,16 +157,18 @@ class TestRunCampaign:
         starts = [t0 for _, _, _, t0 in campaign_schedule(cfg)]
         assert starts == sorted(starts)
 
-    def test_order_independent_results(self, quiet_noise):
-        # run_campaign shares ramps through its memo; run_triplet alone
-        # computes each sweep's ramp afresh: the bytes must agree
-        noise = dataclasses.replace(quiet_noise, sigma_fast_uK=30.0, drift_uK_per_hr=-50.0)
-        for fields, extra in (
+    def test_order_independent_results(self):
+        # run_campaign shares ramps through its memo and seeds its sweeps in
+        # one batch; run_triplet alone computes each sweep's ramp afresh and
+        # seeds it through sweep_rng: the bytes must agree
+        campaigns = (
             ((1.0, 4.0), {}),
             # 0.0 and -0.0 are one key of run_campaign's ramp memo
             ((-0.0, 0.0, -7.2, 7.2), {}),
             ((1.0, 4.0), {"thermal": ThermalEnvironment(), "homogeneity": 3e-3}),
-        ):
+        )
+        for seed, (fields, extra) in itertools.product((1, 0, 2**32 + 5, 2**64 - 1), campaigns):
+            noise = NoiseModel(sigma_fast_uK=30.0, drift_uK_per_hr=-50.0, seed=seed)
             cfg = default_config(noise=noise, fields_mT=fields, replications=2,
                                  points_per_sweep=100, **extra)
             forward = run_campaign(cfg)
@@ -200,6 +205,24 @@ class TestRunCampaign:
             for array in (sweep.tau_s, sweep.r_meas_ohm):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1.0
+
+    def test_builds_no_seed_sequence_per_sweep(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        seed_sequence = np.random.SeedSequence
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        noise = NoiseModel(sigma_fast_uK=30.0, seed=7)
+        cfg = default_config(noise=noise, fields_mT=(1.0, 4.0), replications=2,
+                             points_per_sweep=100)
+        trips = run_campaign(cfg)
+        assert len(trips) * 3 == 24 and built == []
+        # the patch sees sweep_rng, which a sweep generated alone still uses
+        run_triplet(cfg, "film", 1.0, 0.0)
+        assert len(built) == 3
 
     def test_cavity_film_must_be_campaign_film(self, film):
         # the manifest snapshot stores one film, which the cavity sweeps would
@@ -268,6 +291,26 @@ def test_records_reject_non_finite_values(record, key, value):
 
 
 class TestSubSeeding:
+    @given(seed=st.integers(0, 2**64 - 1),
+           subs=st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 2**32 - 1),
+                         min_size=1, max_size=8))
+    @example(seed=0, subs=[0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @example(seed=5, subs=[7, 2**40 + 3])
+    @example(seed=2**32 + 5, subs=[9, 2**63])
+    @example(seed=2**64 - 1, subs=[2**32 - 1, 2**64 - 1])
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_batch_states_equal_seed_sequence(self, seed, subs):
+        # sub-keys are set by hand, so that high words of 0 are covered
+        by_key = {f"k{i}|0|0.000".encode(): sub for i, sub in enumerate(subs)}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_sub_seed", by_key.__getitem__)
+            rng = _batch_rng(seed, [(f"k{i}", 0.0, 0.0) for i in range(len(subs))])
+        for i, sub in reversed(list(enumerate(subs))):
+            batch = rng(seed, f"k{i}", 0.0, 0.0)
+            reference = np.random.default_rng(np.random.SeedSequence([seed, sub]))
+            assert batch.bit_generator.state == reference.bit_generator.state
+            assert batch.normal(size=300).tobytes() == reference.normal(size=300).tobytes()
+
     def test_rng_is_pure_function(self):
         a = sweep_rng(5, "x", 7.2, 100.0).normal(size=4)
         b = sweep_rng(5, "x", 7.2, 100.0).normal(size=4)
