@@ -140,31 +140,31 @@ def pav_increasing(y: np.ndarray) -> np.ndarray:
     pooled block by block, which adds each sum to 0.0 and so changes none
     but a -0.0 (to 0.0). So each row's result is bit-identical to pooling
     that row alone, but for the sign of a zero in a row that never pooled.
+    The last pass, which finds no violation, stops before it labels pools.
     """
     y = np.asarray(y, dtype=float)
     if not y.size:
         return y.copy()
     rows = y.reshape(1, -1) if y.ndim == 1 else y
     n_rows, n = rows.shape
-    sums = rows.ravel()
+    means = sums = rows.ravel()  # every count is 1.0, and x / 1.0 is x
     counts = np.ones(len(sums))
     first, starts = 0, np.arange(n_rows) * n  # the span's first row; each row's first block
     aside = []  # (first row, block means, block counts) of the rows set aside
     while True:
-        means = sums / counts
         # a block starts a pool unless it is lower than the block before it in its row
         new = np.empty(len(means), dtype=bool)
         np.greater(means[:-1], means[1:], out=new[1:])
         np.logical_not(new, out=new)
         new[starts] = True
+        if new[1:].all():
+            aside.append((first, means, counts))
+            break
         new[0] = False
         labels = np.cumsum(new)
         pools = labels[starts]
         merged = starts - pools  # blocks merged away before each row
         total = len(means) - 1 - int(labels[-1])
-        if not total:
-            aside.append((first, means, counts))
-            break
         # rows a to b - 1 still pool
         a = merged.searchsorted(0, "right") - 1
         b = merged.searchsorted(total)
@@ -177,6 +177,7 @@ def pav_increasing(y: np.ndarray) -> np.ndarray:
         starts = pools
         sums = np.bincount(labels, weights=sums)
         counts = np.bincount(labels, weights=counts)
+        means = sums / counts
     aside.sort(key=lambda part: part[0])
     means = np.concatenate([part[1] for part in aside])
     counts = np.concatenate([part[2] for part in aside])
@@ -189,6 +190,8 @@ def _invert_chunk(sweeps, levels, rn_ohm: float):
 
     The rows are sorted and pooled together, then read off their own knots by np.interp.
     A row with a non-finite reading is inverted as zeros, so that it pollutes no arithmetic.
+    Rows sort by numpy's default argsort; a row with tied temperatures (a zeroed row among
+    them) is sorted again stably, so that its tied readings keep their order in time.
     """
     t = np.array([s.t_meas_K for s in sweeps], dtype=float)
     r = np.array([s.r_meas_ohm for s in sweeps], dtype=float)
@@ -197,9 +200,14 @@ def _invert_chunk(sweeps, levels, rn_ohm: float):
     if not finite.all():
         t[~finite] = r[~finite] = 0.0
     # one flat gather of both arrays in each row's stable sort order
-    order = np.argsort(t, axis=1, kind="stable")
+    order = np.argsort(t, axis=1)
     order += np.arange(0, k * n, n)[:, None]
-    t, r = t.ravel()[order], r.ravel()[order]
+    t_sorted = t.ravel()[order]
+    tied = np.flatnonzero((t_sorted[:, 1:] == t_sorted[:, :-1]).any(axis=1))
+    if len(tied):  # only there can the default order differ from the stable one
+        order[tied] = np.argsort(t[tied], axis=1, kind="stable") + (tied * n)[:, None]
+        t_sorted[tied] = t.ravel()[order[tied]]
+    t, r = t_sorted, r.ravel()[order]
     r_fit = pav_increasing(r)
     displaced = np.count_nonzero(np.abs(r_fit - r) > DISCARD_TOLERANCE * rn_ohm, axis=1) / n
 
@@ -347,9 +355,15 @@ def estimate_shift(t_zero, t_field, tc0_K: float) -> tuple[float, float]:
     sqrt(levels / LEVEL_CORRELATION_FACTOR) to account for the correlation
     between adjacent levels. The mean and the scatter take np.mean's and
     np.std(ddof=1)'s steps in their order, so they equal those bit for bit.
+    Fewer than 2 levels raise InsufficientData, a tc0_K that is 0 or not
+    finite DataError.
     """
+    n = len(t_zero)
+    if n < 2:
+        raise InsufficientData(f"the shift estimate needs at least 2 levels, got {n}")
+    if not math.isfinite(tc0_K) or tc0_K == 0:
+        raise DataError(f"the shift estimate needs a finite, nonzero Tc0, got {tc0_K} K")
     diffs = t_zero - t_field
-    n = len(diffs)
     mean = diffs.sum() / n
     dev = diffs - mean
     std = math.sqrt((dev * dev).sum() / (n - 1))

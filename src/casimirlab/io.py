@@ -61,8 +61,9 @@ def read_sweep_csv(path, n_rows: int, picks) -> list:
     manifest, whose "row" names its sweep's row. The file is memory-mapped,
     without np.load's zip and pickle branches, and must hold a float64
     (n_rows, points, 3) array with points >= MIN_SWEEP_POINTS. Only the
-    picked rows are copied out; one that holds a non-finite number or times
-    that do not strictly increase is named by its files[n].
+    picked rows are copied out, in one gather in picks order; of those that
+    hold a non-finite number or times that do not strictly increase, the
+    first in picks order is named by its files[n].
     """
     try:
         data = np.lib.format.open_memmap(path, mode="r")
@@ -75,13 +76,13 @@ def read_sweep_csv(path, n_rows: int, picks) -> list:
         raise DataError(f"{path}: holds a {data.dtype} array of shape {data.shape}, expected "
                         f"float64 ({n_rows} sweeps, >= {MIN_SWEEP_POINTS} points, "
                         f"{len(SWEEP_COLUMNS)}): {', '.join(SWEEP_COLUMNS)}")
+    block = data[[entry["row"] for _, entry in picks]]  # a copy, so the map closes with data
+    bad = ~np.isfinite(block)
     traces = []
-    for n, entry in picks:
-        sweep = np.array(data[entry["row"]])  # a copy, so the map closes with data
-        bad = ~np.isfinite(sweep)
+    for (n, entry), sweep, bad_sweep, faulty in zip(picks, block, bad, bad.any(axis=(1, 2))):
         try:
-            if bad.any():
-                point, column = np.argwhere(bad)[0]
+            if faulty:
+                point, column = np.argwhere(bad_sweep)[0]
                 raise ValueError(f"point {point}: non-finite {SWEEP_COLUMNS[column]}")
             traces.append(SweepTrace(entry["sample_id"], entry["kind"],
                                      entry["applied_field_mT"], entry["t_start_s"], *sweep.T))

@@ -158,8 +158,8 @@ def write_report(run_dir) -> Path:
     )[0]
     rows = []
     for position, trace in pick.sweeps():
-        n = trace.n_points
-        rows += zip([position] * n, [trace.field_mT] * n, trace.tau_s.tolist(),
+        n = trace.n_points  # the field is formatted once per sweep; write_csv keeps a str cell
+        rows += zip([position] * n, ["%.17g" % trace.field_mT] * n, trace.tau_s.tolist(),
                     trace.t_meas_K.tolist(), trace.r_meas_ohm.tolist())
     tables["fig_triplet.csv"] = (("position", "field_mT", "tau_s", "T_meas_K", "R_meas_ohm"), rows)
 

@@ -211,6 +211,34 @@ def sweep_batches(draw):
 
 
 @st.composite
+def long_sweep_batches(draw):
+    """(sweeps of 300, 1200 or 4800 points, sweeps per inversion chunk or None for the
+    default): noisy logistic sweeps, tie-free or with temperatures rounded to 1e-4 K, one
+    whose only tie is -0.0 against 0.0, and at times one with a non-finite reading."""
+    n = draw(st.sampled_from([300, 1200, 4800]))
+    shapes = draw(st.lists(st.sampled_from(["tie-free", "rounded"]), min_size=1, max_size=4))
+    shapes.insert(draw(st.integers(0, len(shapes))), "signed zeros")
+    if draw(st.booleans()):
+        shapes.insert(draw(st.integers(0, len(shapes))), "non-finite")
+    sweeps = []
+    for j, shape in enumerate(shapes):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        tc = 0.0 if shape == "signed zeros" else 1.5  # so that the zeros sit in the transition
+        t = tc + np.linspace(-5e-3, 5e-3, n) + rng.normal(0.0, 2e-5, n)
+        r = 300.0 / (1.0 + np.exp(-(t - tc) / 1e-3)) + rng.normal(0.0, 1.0, n)
+        if shape == "rounded":
+            t = np.round(t, 4)
+        elif shape == "signed zeros":
+            i, k = sorted(rng.choice(n, 2, replace=False))
+            t[i], t[k] = draw(st.sampled_from([(-0.0, 0.0), (0.0, -0.0)]))
+        elif shape == "non-finite":
+            column = t if draw(st.booleans()) else r
+            column[rng.integers(n)] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        sweeps.append(SweepTrace(f"s{j}", "film", 0.0, 0.0, np.arange(n, dtype=float), t, r))
+    return sweeps, draw(st.sampled_from([1, 2, None]))
+
+
+@st.composite
 def level_temperatures(draw):
     """(t_zero, t_field, tc0_K, exact): level temperatures at offsets up to 1e6 K
     whose differences are random or, when `exact`, one constant on a 2**-20 K
@@ -543,6 +571,59 @@ class TestInvertTrace:
         expected = [invert_one_by_one(s, levels, 300.0) for s in sweeps]
         np.testing.assert_array_equal(bits(temps), bits(expected))
 
+    @given(long_sweep_batches())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_long_batches_match_one_by_one(self, batch):
+        # at lengths where numpy's default argsort is no insertion sort, rows with
+        # tied temperatures are inverted as by a stable sort, and so are their
+        # neighbours in the chunk; a non-finite sweep is named, and the rest of its
+        # chunk is still inverted as each sweep alone
+        sweeps, per_chunk = batch
+        levels = default_levels(300.0)
+        rows = []  # (sweep, T row) of every finite sweep, as its chunk returned it
+        invert_chunk = analysis._invert_chunk
+
+        def recording(chunk, chunk_levels, rn_ohm):
+            out = invert_chunk(chunk, chunk_levels, rn_ohm)
+            rows.extend((s, row) for s, row, finite in zip(chunk, out[0], out[3]) if finite)
+            return out
+
+        bad = [s for s in sweeps
+               if not (np.isfinite(s.t_meas_K).all() and np.isfinite(s.r_meas_ohm).all())]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_invert_chunk", recording)
+            if per_chunk:
+                patch.setattr(analysis, "INVERSION_CHUNK_POINTS", per_chunk * sweeps[0].n_points)
+            if bad:
+                with pytest.raises(DataError, match=f"sweep {bad[0].sample_id} at .* non-finite"):
+                    invert_trace(sweeps, levels, 300.0)
+            else:
+                temps = invert_trace(sweeps, levels, 300.0)
+        assert [s for s, _ in rows] == [s for s in sweeps if s not in bad]
+        expected = [invert_one_by_one(s, levels, 300.0) for s, _ in rows]
+        np.testing.assert_array_equal(bits([row for _, row in rows]), bits(expected))
+        if not bad:
+            np.testing.assert_array_equal(bits(temps), bits(expected))
+
+    def test_stable_sort_only_where_temperatures_tie(self, monkeypatch):
+        sweeps = [s for t in run_campaign(default_config(replications=1)) for _, s in t.sweeps()]
+        assert all(len(np.unique(s.t_meas_K)) == s.n_points for s in sweeps)
+        rounded = [dataclasses.replace(s, t_meas_K=np.round(s.t_meas_K, 4)) for s in sweeps]
+        kinds = []
+        argsort = np.argsort
+
+        def counting(a, *args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        levels = default_levels(300.0)
+        invert_trace(sweeps, levels, 300.0)
+        assert kinds and "stable" not in kinds
+        kinds.clear()
+        invert_trace(rounded, levels, 300.0)
+        assert "stable" in kinds
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("attribute, column", [("t_meas_K", "T_meas_K"),
                                                    ("r_meas_ohm", "R_meas_ohm")])
@@ -598,6 +679,21 @@ class TestEstimateShift:
         np.testing.assert_array_equal(bits([delta_t, sigma]), bits(expected))
         if exact:
             assert sigma == 0.0
+
+    @pytest.mark.parametrize("t_zero, t_field, tc0_K, error", [
+        (np.array([1.0]), np.array([0.0]), 1.5, InsufficientData),
+        (np.array([]), np.array([]), 1.5, InsufficientData),
+        (np.array([1.0]), np.array([0.0]), 0.0, InsufficientData),
+        (np.ones(50), np.zeros(50), 0.0, DataError),
+        (np.ones(50), np.zeros(50), -0.0, DataError),
+        (np.ones(2), np.zeros(2), math.nan, DataError),
+        (np.ones(2), np.zeros(2), math.inf, DataError),
+        (np.ones(2), np.zeros(2), np.float64(-math.inf), DataError),
+    ])
+    def test_bad_input_rejected(self, t_zero, t_field, tc0_K, error):
+        with pytest.raises(error) as exc:
+            estimate_shift(t_zero, t_field, tc0_K)
+        assert type(exc.value) is error
 
     def test_identical_traces_zero(self, film):
         tr = logistic_trace(film)

@@ -390,16 +390,18 @@ class TestSweepCsv:
     def test_read_back_bit_exact(self, tmp_path):
         traces = self.awkward_traces()
         write_sweep_csv(tmp_path / "s.npy", traces)
-        # rows in any order, each named by its own entry
-        picks = [(n, self.entry(row, traces[row])) for n, row in enumerate((2, 0))]
-        for back, (_, entry) in zip(read_sweep_csv(tmp_path / "s.npy", 3, picks), picks):
-            trace = traces[entry["row"]]
-            assert back.t_start_s == trace.t_start_s
-            for a, b in ((back.tau_s, trace.tau_s), (back.t_meas_K, trace.t_meas_K),
-                         (back.r_meas_ohm, trace.r_meas_ohm)):
-                assert np.array_equal(a, b)
-                # array_equal treats -0.0 == 0.0; the bit patterns must agree too
-                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        # rows in any order, each named by its own entry, copied out in one gather
+        for rows in ((2, 0), (2, 0, 1), (1,), ()):
+            picks = [(n, self.entry(row, traces[row])) for n, row in enumerate(rows)]
+            back = read_sweep_csv(tmp_path / "s.npy", 3, picks)
+            assert len(back) == len(rows)
+            for trace, row in zip(back, rows):
+                assert trace.t_start_s == traces[row].t_start_s
+                for a, b in ((trace.tau_s, traces[row].tau_s),
+                             (trace.t_meas_K, traces[row].t_meas_K),
+                             (trace.r_meas_ohm, traces[row].r_meas_ohm)):
+                    # array_equal treats -0.0 == 0.0; the bit patterns must agree too
+                    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_existing_file_left_as_it_is(self, tmp_path):
         path = tmp_path / "s.npy"
@@ -777,6 +779,26 @@ class TestMalformedInput:
         result = runner.invoke(main, ["analyze", str(run_dir)])
         assert result.exit_code == 3
         assert "sweeps.npy: files[1] (row 4): point 10: non-finite T_meas_K" in result.stderr
+
+
+    def test_first_non_finite_sweep_in_manifest_order_named(self, runner, run_dir):
+        # the cav01 pre sweeps at 2 and 5 mT trade rows, so that the later of the two
+        # in the manifest (and in the order analyze reads them) comes first in the
+        # array; both rows hold a NaN, and the manifest's first is named
+        first, _ = find_entry(run_dir, "cav01", 2.0, 0, "pre")
+        second, _ = find_entry(run_dir, "cav01", 5.0, 0, "pre")
+        manifest = read_manifest(run_dir)
+        files = manifest["files"]
+        files[first]["row"], files[second]["row"] = files[second]["row"], files[first]["row"]
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        data = np.load(run_dir / "sweeps.npy")
+        data[[first, second]] = data[[second, first]]
+        data[[first, second], 10, 1] = np.nan
+        np.save(run_dir / "sweeps.npy", data)
+        result = runner.invoke(main, ["analyze", str(run_dir)])
+        assert result.exit_code == 3
+        assert (f"sweeps.npy: files[{first}] (row {second}): point 10: non-finite T_meas_K"
+                in result.stderr)
 
 
 # cell values for random damage to the analysis CSVs, element values for the sweep array
@@ -1220,6 +1242,23 @@ class TestReportCommand:
         field, delta_t, _, shift_uK, _ = fit_rows[-1]
         assert field == 10.0
         assert shift_uK == pytest.approx(delta_t * 1.5e6, rel=1e-4)
+
+    def test_triplet_bytes_match_reference_writer(self, runner, tmp_path):
+        # the field is written as one pre-formatted cell per sweep
+        out = simulate_run(runner, tmp_path,
+                           SMALL_CONFIG.replace("fields_mT = 7.2", "fields_mT = -7.2 0.5 2 5 9 10"))
+        run_ok(runner, ["analyze", str(out)])
+        run_ok(runner, ["report", str(out)])
+        data = np.load(out / "sweeps.npy")
+        rows = []
+        for position in ("pre", "mid", "post"):
+            _, entry = find_entry(out, "film01", -7.2, 0, position)
+            rows += [(position, float(entry["applied_field_mT"]), *point)
+                     for point in data[entry["row"]].tolist()]
+        assert {row[1] for row in rows} == {0.0, -7.2}
+        write_csv_reference(tmp_path / "ref.csv",
+                            ("position", "field_mT", "tau_s", "T_meas_K", "R_meas_ohm"), rows)
+        assert (out / "report" / "fig_triplet.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.fixture
     def plus_minus_run(self, runner, tmp_path):
