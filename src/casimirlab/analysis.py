@@ -8,6 +8,9 @@ differential signal and the repeat-based sensitivity estimate. Each
 sweep's level temperatures are computed once and kept on the sweep
 (`_level_temperatures`); `pipeline.analyze_campaign` fills them for every
 sweep in one `invert_trace` call, and the estimators read them.
+One triplet cannot measure its own σ: `pipeline.sample_sigma` gives one per
+sample, so the fit and the per-field means are unweighted, their variances
+scaled by mean(σ²).
 """
 
 from __future__ import annotations
@@ -32,11 +35,6 @@ WINDOW_HI = 0.8
 
 DEFAULT_N_LEVELS = 50  # resistance levels of the shift estimate
 
-# Adjacent resistance levels reuse the same noisy points, so the per-level
-# differences are correlated; the effective sample size is reduced by this
-# factor (a documented heuristic, checked against Monte Carlo scatter).
-LEVEL_CORRELATION_FACTOR = 10.0
-
 # A point whose monotonized resistance moved by more than this fraction of
 # RN is counted as discarded by the monotonization.
 DISCARD_TOLERANCE = 0.05
@@ -59,8 +57,8 @@ class ShiftEstimate:
     replication: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.delta_t):
-            raise ValueError("shift must be finite")
+        if not (math.isfinite(self.delta_t) and math.isfinite(self.field_mT)):
+            raise ValueError("shift and field must be finite")
         if not 0 <= self.sigma_delta_t < math.inf:
             raise ValueError("shift uncertainty must be finite and non-negative")
 
@@ -346,64 +344,54 @@ def extract_tc0(trace: SweepTrace, rn_ohm: float) -> float:
     return float(row.sum() / row.size)  # row.mean()'s steps, without its dispatch
 
 
-def estimate_shift(t_zero, t_field, tc0_K: float) -> tuple[float, float]:
+def check_tc0(tc0_K: float) -> None:
+    """Raise DataError unless 0 < tc0_K < inf: Tc0 scales every shift and its σ."""
+    if not 0 < tc0_K < math.inf:
+        raise DataError(f"Tc0 must be positive and finite, got {tc0_K} K")
+
+
+def estimate_shift(t_zero, t_field, tc0_K: float) -> float:
     """Averaged-difference estimator: delta_t = mean_R [T(R,0) - T(R,H)] / Tc0.
 
     t_zero and t_field are T(R) of a zero-field and an in-field sweep at the
-    same resistance levels. Returns (delta_t, sigma) as Python floats; the
-    standard error divides the per-level scatter by
-    sqrt(levels / LEVEL_CORRELATION_FACTOR) to account for the correlation
-    between adjacent levels. The mean and the scatter take np.mean's and
-    np.std(ddof=1)'s steps in their order, so they equal those bit for bit.
-    Fewer than 2 levels raise InsufficientData, a tc0_K that is 0 or not
-    finite DataError.
+    same resistance levels. Returns delta_t as a Python float; the mean takes
+    np.mean's steps, so it equals np.mean bit for bit. Fewer than 2 levels
+    raise InsufficientData (as in invert_trace), a tc0_K outside (0, inf) or
+    a non-finite result (from a NaN or infinite level temperature) DataError.
     """
     n = len(t_zero)
     if n < 2:
         raise InsufficientData(f"the shift estimate needs at least 2 levels, got {n}")
-    if not math.isfinite(tc0_K) or tc0_K == 0:
-        raise DataError(f"the shift estimate needs a finite, nonzero Tc0, got {tc0_K} K")
-    diffs = t_zero - t_field
-    mean = diffs.sum() / n
-    dev = diffs - mean
-    std = math.sqrt((dev * dev).sum() / (n - 1))
-    n_eff = max(1.0, n / LEVEL_CORRELATION_FACTOR)
-    return float(mean) / tc0_K, std / math.sqrt(n_eff) / tc0_K
+    check_tc0(tc0_K)
+    with np.errstate(all="ignore"):  # a non-finite input shows in the result
+        mean = (t_zero - t_field).sum() / n
+    delta_t = float(mean) / tc0_K
+    if not math.isfinite(delta_t):
+        raise DataError("the shift estimate needs finite level temperatures")
+    return delta_t
 
 
-def drift_corrected_shift(triplet: TripletRecord, tc0_K: float, rn_ohm: float) -> ShiftEstimate:
-    """Mean of the pre-vs-mid and post-vs-mid estimates.
+def drift_corrected_shift(triplet: TripletRecord, tc0_K: float, rn_ohm: float,
+                          sigma_delta_t: float = 0.0) -> ShiftEstimate:
+    """Mean of the pre-vs-mid and post-vs-mid estimates, with the given σ.
 
     Each sweep is inverted at the default levels at most once: the level
     temperatures kept on a sweep (by analyze_campaign or extract_tc0) are
     reused, and the sweeps that lack them are inverted in one batch. For
     drift linear in time and a symmetric triplet schedule the two one-sided
-    biases are equal and opposite, so the mean is exactly drift-free;
-    uncertainties combine in quadrature.
+    biases are equal and opposite, so the mean is exactly drift-free.
+    One triplet cannot measure its own scatter: sigma_delta_t is its
+    sample's (pipeline.sample_sigma), and 0.0 when not given.
     """
     t_pre, t_mid, t_post = _level_temperatures([s for _, s in triplet.sweeps()], rn_ohm)
-    before, sigma_before = estimate_shift(t_pre, t_mid, tc0_K)
-    after, sigma_after = estimate_shift(t_post, t_mid, tc0_K)
     return ShiftEstimate(
         field_mT=triplet.field_mT,
-        delta_t=0.5 * (before + after),
-        sigma_delta_t=float(0.5 * np.hypot(sigma_before, sigma_after)),
+        delta_t=0.5 * (estimate_shift(t_pre, t_mid, tc0_K) + estimate_shift(t_post, t_mid, tc0_K)),
+        sigma_delta_t=sigma_delta_t,
         sample_id=triplet.sample_id,
         kind=triplet.kind,
         replication=triplet.replication,
     )
-
-
-def _weights(sigma):
-    """Inverse-variance weights; uniform when every sigma vanishes (noiseless data).
-
-    Sigmas are floored at 1e-3 of the smallest nonzero one, so that one
-    exact estimate cannot take all the weight.
-    """
-    if not np.any(sigma):
-        return np.ones_like(sigma)
-    floor = 1e-3 * np.min(sigma[sigma > 0])
-    return 1.0 / np.maximum(sigma, floor) ** 2
 
 
 def fit_parabola(
@@ -411,10 +399,11 @@ def fit_parabola(
     field_threshold_mT: float,
     include_linear: bool = False,
 ) -> FitResult:
-    """Weighted least squares of delta_t = a*H^2 (+ b*H) on high-field points.
+    """Ordinary least squares of delta_t = a*H^2 (+ b*H) on high-field points.
 
-    Only estimates with |field| >= field_threshold_mT enter; weights are
-    1/sigma^2 (uniform when all sigmas vanish, as for noiseless data).
+    Only estimates with |field| >= field_threshold_mT enter. The covariance
+    is mean(sigma^2) * (X^T X)^-1, exact when every sigma is equal, as
+    within one sample (pipeline.sample_sigma); it is 0 when all vanish.
     """
     sel = [e for e in estimates if abs(e.field_mT) >= field_threshold_mT]
     if len(sel) < 3:
@@ -424,19 +413,19 @@ def fit_parabola(
         )
     h = np.array([e.field_mT for e in sel])
     y = np.array([e.delta_t for e in sel])
-    w = _weights(np.array([e.sigma_delta_t for e in sel]))
+    sigma = np.array([e.sigma_delta_t for e in sel])
 
     cols = [h * h]
     if include_linear:
         cols.append(h)
     x = np.stack(cols, axis=1)
-    xtwx = x.T @ (w[:, None] * x)
-    if np.linalg.matrix_rank(xtwx) < x.shape[1]:
+    xtx = x.T @ x
+    # or of full rank but so near zero (fields of 1e-80 mT) that its inverse overflows
+    if np.linalg.matrix_rank(xtx) < x.shape[1] or not np.isfinite(inv := np.linalg.inv(xtx)).all():
         raise SingularFit("design matrix is rank deficient (degenerate field values)")
-    xtwy = x.T @ (w * y)
-    beta = np.linalg.solve(xtwx, xtwy)
+    beta = np.linalg.solve(xtx, x.T @ y)
     cov = np.zeros((2, 2))
-    cov[:len(beta), :len(beta)] = np.linalg.inv(xtwx)
+    cov[:len(beta), :len(beta)] = np.mean(sigma * sigma) * inv
     a, b = np.append(beta, 0.0)[:2]
     return FitResult(
         a=float(a),
@@ -457,30 +446,31 @@ def field_groups(field_mT) -> list:
 
 
 def field_means(field_mT, y, sigma):
-    """Inverse-variance weighted mean of y per distinct field, sorted by field.
+    """Mean of y per distinct field, sorted by field, with variance mean(sigma^2)/n.
 
-    Returns (fields, means, variances); a field whose sigmas all vanish
-    gets the plain mean and variance 0.
+    Returns (fields, means, variances). The variance is that of the mean of
+    n values of equal sigma, as within one sample (pipeline.sample_sigma).
+    A NaN or infinite input raises DataError.
     """
-    y, sigma = np.asarray(y), np.asarray(sigma)
+    y, sigma = np.asarray(y, dtype=float), np.asarray(sigma, dtype=float)
+    if not np.isfinite([field_mT, y, sigma]).all():
+        raise DataError("per-field means need finite fields, values and sigmas")
     groups = field_groups(field_mT)
-    means, variances = [], []
-    for _, idx in groups:
-        w = _weights(sigma[idx])
-        means.append(np.sum(w * y[idx]) / np.sum(w))
-        variances.append(1.0 / np.sum(w) if np.any(sigma[idx]) else 0.0)
+    means = [y[idx].mean() for _, idx in groups]
+    variances = [np.mean(sigma[idx] ** 2) / len(idx) for _, idx in groups]
     return np.array([f for f, _ in groups]), np.array(means), np.array(variances)
 
 
 def differential_signal(film_fit: FitResult, cavity_estimates, tc0_K: float) -> DifferentialSignal:
     """Gap between the film parabola and the cavity data at each measured cavity field, in uK.
 
-    The cavity curve is its per-field weighted means (`field_means`), so the
+    The cavity curve is its per-field means (`field_means`), so the
     analysis assumes no cavity model; each field's uncertainty combines the
     fit covariance with the variance of its mean. No field between two
     measured ones has a larger gap: for a film fit a*H^2 + b*H with a > 0,
     the gap to a straight line between them is convex.
     """
+    check_tc0(tc0_K)
     fields, cav_dt, cav_var = field_means(
         [e.field_mT for e in cavity_estimates],
         [e.delta_t for e in cavity_estimates],
@@ -507,5 +497,6 @@ def estimate_sensitivity(repeats, tc0_K: float) -> float:
     """Scatter (uK) of repeated shift estimates taken under identical conditions."""
     if len(repeats) < 3:
         raise InsufficientData("sensitivity estimate needs >= 3 repeats")
+    check_tc0(tc0_K)
     shifts = np.array([e.delta_t for e in repeats]) * tc0_K * 1e6
     return float(np.std(shifts, ddof=1))

@@ -1,9 +1,10 @@
 """Campaign-level analysis: ties the per-trace estimators into one report.
 
 Takes the full set of triplets from a campaign, extracts each sample's
-Tc0 from its own zero-field sweeps, forms drift-corrected shift estimates,
-estimates the sensitivity from repeats, fits the film parabola on
-high-field points and evaluates the film-cavity differential signal.
+Tc0 from its own zero-field sweeps and its σ from the scatter of its
+zero-field null pairs, forms drift-corrected shift estimates, fits the
+film parabola on high-field points and evaluates the film-cavity
+differential signal. The film's σ is the campaign's sensitivity.
 """
 
 from __future__ import annotations
@@ -16,18 +17,13 @@ from .analysis import (
     DifferentialSignal,
     FitResult,
     _level_temperatures,
+    check_tc0,
     differential_signal,
     drift_corrected_shift,
-    estimate_sensitivity,
     extract_tc0,
-    field_groups,
     fit_parabola,
 )
 from .errors import InsufficientData
-
-# Fallback single-estimate scatter when a campaign has too few repeats to
-# measure its own sensitivity.
-FALLBACK_SENSITIVITY_UK = 6.0
 
 # Fields qualify as "high-field" for the parabola fit once the bare-film
 # shift exceeds this multiple of the sensitivity, i.e. well clear of the
@@ -41,7 +37,7 @@ class AnalysisResult:
     estimates: list  # ShiftEstimate, film and cavity
     film_fit: FitResult
     differential: DifferentialSignal
-    sensitivity_uK: float | None
+    sensitivity_uK: float  # the film's sample_sigma, in uK
 
     def film_estimates(self):
         return [e for e in self.estimates if e.kind == "film"]
@@ -74,13 +70,22 @@ def sample_tc0(triplets, sample_id: str, rn_ohm: float) -> float:
     return float(np.mean(values))
 
 
-def campaign_sensitivity(estimates, tc0_K: float):
-    """Sensitivity from the most-replicated nonzero field (the lowest on a tie), or None."""
-    groups = [idx for f, idx in field_groups([e.field_mT for e in estimates]) if f != 0]
-    best = max(groups, key=len, default=())
-    if len(best) < 3:
-        return None
-    return estimate_sensitivity([estimates[i] for i in best], tc0_K)
+def sample_sigma(triplets, sample_id: str, rn_ohm: float, tc0_K: float) -> float:
+    """σ of one triplet's delta_t in one sample: sqrt(3/4 var(u, ddof=1)) / Tc0 over its triplets.
+
+    u = mean_R [T_pre(R) - T_post(R)] of a triplet's zero-field null pair holds no shift, and
+    its mean is alike in every triplet (-2 x spacing x drift); with alike noise in the three
+    sweeps, Var(mean_R [(T_pre + T_post)/2 - T_mid]) = 3/4 Var(u). So σ assumes that noise is
+    alike at every field and over the campaign. Fewer than 3 triplets raise InsufficientData,
+    a tc0_K outside (0, inf) DataError.
+    """
+    check_tc0(tc0_K)
+    sweeps = [s for t in triplets if t.sample_id == sample_id for s in (t.pre, t.post)]
+    if len(sweeps) < 6:
+        raise InsufficientData(f"σ of {sample_id!r} needs >= 3 triplets, got {len(sweeps) // 2}")
+    temps = np.array(_level_temperatures(sweeps, rn_ohm))
+    u = (temps[0::2] - temps[1::2]).mean(axis=1)
+    return float(np.sqrt(0.75 * u.var(ddof=1))) / tc0_K
 
 
 def auto_field_threshold(estimates, tc0_K: float, sensitivity_uK: float) -> float:
@@ -109,7 +114,8 @@ def analyze_campaign(
     `load_dataset` returns, so the result does not depend on their order.
     All sweeps are inverted together, in chunks (`analysis.invert_trace`);
     of several faulty sweeps, the first zero-field sweep in that order is
-    named, or else the first in-field one.
+    named, or else the first in-field one. Each estimate carries its sample's
+    `sample_sigma`; the film's, in uK, is the sensitivity and sets the auto threshold.
     """
     triplets = sorted(triplets, key=lambda t: (t.sample_id, t.field_mT, t.replication))
     sample_ids = sorted({t.sample_id for t in triplets})
@@ -118,8 +124,11 @@ def analyze_campaign(
     _level_temperatures([s for t in triplets for s in (t.pre, t.post)]
                         + [t.mid for t in triplets], rn_ohm)
     tc0 = {sid: sample_tc0(triplets, sid, rn_ohm) for sid in sample_ids}
+    sigma = {sid: sample_sigma(triplets, sid, rn_ohm, tc0[sid]) for sid in sample_ids}
 
-    estimates = [drift_corrected_shift(t, tc0[t.sample_id], rn_ohm) for t in triplets]
+    estimates = [drift_corrected_shift(t, tc0[t.sample_id], rn_ohm,
+                                       sigma_delta_t=sigma[t.sample_id])
+                 for t in triplets]
 
     film_est = [e for e in estimates if e.kind == "film"]
     cav_est = [e for e in estimates if e.kind == "cavity"]
@@ -127,10 +136,9 @@ def analyze_campaign(
         raise InsufficientData("campaign must contain both film and cavity triplets")
     film_tc0 = tc0[film_est[0].sample_id]
 
-    sensitivity = campaign_sensitivity(film_est, film_tc0)
+    sensitivity = film_est[0].sigma_uK(film_tc0)
     if fit_threshold_mT is None:
-        sens = sensitivity if sensitivity else FALLBACK_SENSITIVITY_UK
-        fit_threshold_mT = auto_field_threshold(film_est, film_tc0, sens)
+        fit_threshold_mT = auto_field_threshold(film_est, film_tc0, sensitivity)
 
     film_fit = fit_parabola(film_est, fit_threshold_mT, include_linear)
     diff = differential_signal(film_fit, cav_est, film_tc0)

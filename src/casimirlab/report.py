@@ -97,13 +97,12 @@ def write_analysis(run_dir, result: AnalysisResult) -> Path:
         zip(diff.field_mT.tolist(), diff.gap_uK.tolist(), diff.sigma_uK.tolist()),
     )
 
-    sens = "n/a" if result.sensitivity_uK is None else f"{result.sensitivity_uK:.3f} uK"
     summary = [
         f"triplets analyzed: {len(result.estimates)}",
         *(f"Tc0[{sid}] = {tc:.17g} K" for sid, tc in sorted(result.tc0_K.items())),
         f"film fit: a = {fit.a:.17g} /mT^2, b = {fit.b:.17g} /mT "
         f"(|H| >= {fit.field_threshold_mT:.3f} mT, n = {fit.n_points})",
-        f"sensitivity: {sens}",
+        f"sensitivity: {result.sensitivity_uK:.3f} uK",
         f"max gap: {diff.max_gap_uK:.3f} +- {diff.sigma_at_max_uK:.3f} uK "
         f"at {diff.field_at_max_mT:.3f} mT",
     ]

@@ -54,8 +54,8 @@ def one_sided_shift(zero, field, tc0_K, rn_ohm):
     """ShiftEstimate of one in-field sweep against one zero-field sweep."""
     levels = default_levels(rn_ohm)
     t_zero, t_field = invert_trace([zero, field], levels, rn_ohm)
-    delta_t, sigma = estimate_shift(t_zero, t_field, tc0_K)
-    return ShiftEstimate(field.field_mT, delta_t, sigma, field.sample_id, field.kind)
+    delta_t = estimate_shift(t_zero, t_field, tc0_K)
+    return ShiftEstimate(field.field_mT, delta_t, 0.0, field.sample_id, field.kind)
 
 
 def logistic_trace(tc_K, width_mK, rn_ohm, t_grid, field_mT=0.0, sample_id="s"):

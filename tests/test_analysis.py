@@ -1,6 +1,7 @@
 """Estimator tests: inversion, shift estimation, drift correction, fits."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimirlab import (
+    CavityParams,
     FilmParams,
     NoiseModel,
     ShiftEstimate,
@@ -26,22 +28,28 @@ from casimirlab import (
 )
 from casimirlab import analysis
 from casimirlab.analysis import (
-    LEVEL_CORRELATION_FACTOR,
     default_levels,
     field_means,
     pav_increasing,
 )
-from casimirlab.config import default_config
+from casimirlab.config import (
+    DEFAULT_DRIFT_UK_PER_HR,
+    DEFAULT_SIGMA_FAST_UK,
+    default_config,
+    default_film,
+)
 from casimirlab.errors import (
+    ConfigError,
     DataError,
     IncompleteTransition,
     InsufficientData,
     NonMonotonic,
+    NumericalError,
     SingularFit,
 )
 from casimirlab.physics import transition_midpoint, transition_width_e
-from casimirlab.pipeline import analyze_campaign, sample_tc0
-from casimirlab.simulate import MIN_SWEEP_POINTS
+from casimirlab.pipeline import analyze_campaign, sample_sigma, sample_tc0
+from casimirlab.simulate import MIN_SWEEP_POINTS, _ramp
 
 
 def make_trace(t, r, field=0.0, sample_id="s", kind="film", t_start=0.0):
@@ -62,23 +70,20 @@ def one_sided_shift(zero, field, tc0_K, rn_ohm, levels=None):
     """ShiftEstimate of one in-field sweep against one zero-field sweep."""
     levels = default_levels(rn_ohm) if levels is None else levels
     t_zero, t_field = invert_trace([zero, field], levels, rn_ohm)
-    delta_t, sigma = estimate_shift(t_zero, t_field, tc0_K)
-    return ShiftEstimate(field.field_mT, delta_t, sigma, field.sample_id, field.kind)
+    delta_t = estimate_shift(t_zero, t_field, tc0_K)
+    return ShiftEstimate(field.field_mT, delta_t, 0.0, field.sample_id, field.kind)
 
 
 def drift_corrected_shift_reference(triplet, tc0_K, rn_ohm):
     """The former two-call estimator: each one-sided estimate inverts both of
-    its sweeps, so the mid sweep is inverted twice. Returns (delta_t, sigma)."""
+    its sweeps, so the mid sweep is inverted twice. Returns delta_t."""
     levels = default_levels(rn_ohm)
-    n_eff = max(1.0, len(levels) / LEVEL_CORRELATION_FACTOR)
     sides = []
     for zero in (triplet.pre, triplet.post):
         t_zero, t_mid = invert_trace([zero, triplet.mid], levels, rn_ohm)
-        diffs = t_zero - t_mid
-        sigma = float(np.std(diffs, ddof=1)) / np.sqrt(n_eff) / tc0_K
-        sides.append((float(np.mean(diffs)) / tc0_K, sigma))
-    (before, sigma_before), (after, sigma_after) = sides
-    return 0.5 * (before + after), float(0.5 * np.hypot(sigma_before, sigma_after))
+        sides.append(float(np.mean(t_zero - t_mid)) / tc0_K)
+    before, after = sides
+    return 0.5 * (before + after)
 
 
 def pav_reference(y):
@@ -668,17 +673,14 @@ class TestEstimateShift:
     @example((np.full(2, 1.5), np.full(2, 1.25), 1.5, True))
     @example((1e6 + np.linspace(0.0, 1e-3, 50), np.linspace(0.0, 1e-3, 50)[::-1], 1.5, False))
     @settings(max_examples=300, derandomize=True)
-    def test_bits_of_numpy_mean_and_std(self, temperatures):
+    def test_bits_of_numpy_mean(self, temperatures):
         t_zero, t_field, tc0_K, exact = temperatures
         diffs = t_zero - t_field
-        n_eff = max(1.0, len(diffs) / LEVEL_CORRELATION_FACTOR)
-        delta_t, sigma = estimate_shift(t_zero, t_field, tc0_K)
-        assert type(delta_t) is float and type(sigma) is float
-        expected = (float(np.mean(diffs)) / tc0_K,
-                    float(np.std(diffs, ddof=1)) / math.sqrt(n_eff) / tc0_K)
-        np.testing.assert_array_equal(bits([delta_t, sigma]), bits(expected))
+        delta_t = estimate_shift(t_zero, t_field, tc0_K)
+        assert type(delta_t) is float
+        np.testing.assert_array_equal(bits([delta_t]), bits([float(np.mean(diffs)) / tc0_K]))
         if exact:
-            assert sigma == 0.0
+            assert delta_t == float(diffs[0]) / tc0_K
 
     @pytest.mark.parametrize("t_zero, t_field, tc0_K, error", [
         (np.array([1.0]), np.array([0.0]), 1.5, InsufficientData),
@@ -827,8 +829,8 @@ class TestDriftCorrection:
         for rep, field in enumerate((0.0, 2.0, 7.2, -9.0)):
             trip = run_triplet(cfg, kind, field, 3600.0 * rep, rep)
             est = drift_corrected_shift(trip, cfg.film.tc0_K, rn_ohm=rn)
-            delta_t, sigma = drift_corrected_shift_reference(trip, cfg.film.tc0_K, rn)
-            assert est.delta_t == delta_t and est.sigma_delta_t == sigma
+            assert est.delta_t == drift_corrected_shift_reference(trip, cfg.film.tc0_K, rn)
+            assert est.sigma_delta_t == 0.0
 
     def test_inverts_each_sweep_once(self, film, monkeypatch):
         calls = counted_inversions(monkeypatch)
@@ -893,6 +895,12 @@ class TestFitParabola:
         ests = self.make_estimates(film, [7.0, 7.0, 7.0])
         with pytest.raises(SingularFit):
             fit_parabola(ests, 0.0, include_linear=True)
+
+    def test_fields_near_zero_singular(self, film):
+        # X^T X of fields of 1e-80 mT is subnormal: its inverse overflows
+        ests = [ShiftEstimate(h, 1e-4, 0.0, "f") for h in (1e-80, 2e-80, 3e-80)]
+        with pytest.raises(SingularFit):
+            fit_parabola(ests, 0.0)
 
     def test_convergence_rate(self, film):
         # coefficient error shrinks ~1/sqrt(n) with replication count
@@ -1010,6 +1018,8 @@ class TestDifferentialAndSensitivity:
     ("signal", "gap_uK", np.array([1.0, math.nan])),
     ("signal", "sigma_uK", np.array([math.inf, 1.0])),
     ("signal", "gap_uK", np.array([1.0])),
+    ("shift", "field_mT", math.nan),
+    ("shift", "field_mT", -math.inf),
 ])
 def test_records_reject_non_finite_values(record, key, value):
     base = {
@@ -1023,3 +1033,273 @@ def test_records_reject_non_finite_values(record, key, value):
     }[record]
     with pytest.raises(ValueError):
         dataclasses.replace(base, **{key: value})
+
+
+@functools.cache
+def triplet_pool():
+    """(config, triplets): a small default campaign with a zero field among its fields."""
+    cfg = default_config(fields_mT=(0.0, 2.0, 5.0, 7.2, 10.0), replications=2,
+                         points_per_sweep=300)
+    return cfg, run_campaign(cfg)
+
+
+def film_pool_fit(include_linear=False):
+    """A well-conditioned film fit: a parabola with a tilt, uniform sigma."""
+    ests = [ShiftEstimate(h, 1e-6 * h * h + 1e-8 * h, 4e-6, "film01")
+            for h in (-10.0, -8.0, 6.0, 8.0, 10.0)]
+    return fit_parabola(ests, 5.0, include_linear)
+
+
+class TestSampleSigma:
+    def test_three_quarters_of_the_null_pair_variance(self):
+        cfg, triplets = triplet_pool()
+        rn, tc0 = cfg.film.rn_ohm, cfg.film.tc0_K
+        for sample_id in (cfg.film_sample_id, cfg.cavity_sample_id):
+            mine = [t for t in triplets if t.sample_id == sample_id]
+            u = [np.mean(np.subtract(*invert_trace([t.pre, t.post], default_levels(rn), rn)))
+                 for t in mine]
+            expected = math.sqrt(0.75 * np.var(u, ddof=1)) / tc0
+            assert sample_sigma(triplets, sample_id, rn, tc0) == pytest.approx(expected,
+                                                                               rel=1e-12)
+
+    def test_reads_the_kept_level_temperatures(self, monkeypatch):
+        cfg, triplets = triplet_pool()
+        rn = cfg.film.rn_ohm
+        analysis._level_temperatures([s for t in triplets for _, s in t.sweeps()], rn)
+        calls = counted_inversions(monkeypatch)
+        sample_sigma(triplets, cfg.film_sample_id, rn, cfg.film.tc0_K)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_3_triplets_rejected(self, n):
+        cfg, triplets = triplet_pool()
+        film = [t for t in triplets if t.kind == "film"][:n]
+        # a cavity triplet among them does not count for the film
+        with pytest.raises(InsufficientData, match=f"needs >= 3 triplets, got {n}"):
+            sample_sigma(film + triplets[1:2], cfg.film_sample_id, cfg.film.rn_ohm,
+                         cfg.film.tc0_K)
+
+    def test_analyze_campaign_carries_each_sample_sigma(self):
+        cfg, triplets = triplet_pool()
+        res = analyze_campaign(triplets, rn_ohm=cfg.film.rn_ohm)
+        for sample_id, tc0 in res.tc0_K.items():
+            sigma = sample_sigma(triplets, sample_id, cfg.film.rn_ohm, tc0)
+            assert {e.sigma_delta_t for e in res.estimates if e.sample_id == sample_id} == {sigma}
+        film_tc0 = res.tc0_K[cfg.film_sample_id]
+        assert res.sensitivity_uK == pytest.approx(
+            sample_sigma(triplets, cfg.film_sample_id, cfg.film.rn_ohm, film_tc0) * film_tc0 * 1e6,
+            rel=1e-15)
+
+    def test_lone_drift_corrected_shift_has_zero_sigma(self):
+        cfg, triplets = triplet_pool()
+        est = drift_corrected_shift(triplets[0], cfg.film.tc0_K, cfg.film.rn_ohm)
+        assert est.sigma_delta_t == 0.0
+        given = drift_corrected_shift(triplets[0], cfg.film.tc0_K, cfg.film.rn_ohm,
+                                      sigma_delta_t=3e-6)
+        assert (given.delta_t, given.sigma_delta_t) == (est.delta_t, 3e-6)
+
+
+@pytest.mark.parametrize("tc0_K", [-1.5, -0.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["estimate_shift", "sample_sigma", "differential_signal",
+                                   "estimate_sensitivity"])
+def test_tc0_outside_zero_to_inf_rejected(entry, tc0_K):
+    cfg, triplets = triplet_pool()
+    est = ShiftEstimate(7.2, 5e-5, 1e-6, "cav01", "cavity")
+    call = {
+        "estimate_shift": lambda: estimate_shift(np.ones(50), np.zeros(50), tc0_K),
+        "sample_sigma": lambda: sample_sigma(triplets, cfg.film_sample_id, cfg.film.rn_ohm,
+                                             tc0_K),
+        "differential_signal": lambda: differential_signal(
+            film_pool_fit(), [est, dataclasses.replace(est, field_mT=2.0)], tc0_K),
+        "estimate_sensitivity": lambda: estimate_sensitivity([est] * 3, tc0_K),
+    }[entry]
+    with pytest.raises(DataError, match="Tc0 must be positive and finite"):
+        call()
+
+
+def film_triplets(points, field, count, seed):
+    """count film triplets at one field, back to back, sharing one noiseless ramp per field."""
+    cfg = default_config(fields_mT=(field,), points_per_sweep=points,
+                         noise=NoiseModel(DEFAULT_SIGMA_FAST_UK, DEFAULT_DRIFT_UK_PER_HR, seed))
+    ramp = functools.cache(_ramp)
+    slot = 3.0 * cfg.sweep_duration_s
+    return cfg, [run_triplet(cfg, "film", field, slot * rep, rep, ramp=ramp)
+                 for rep in range(count)]
+
+
+def null_campaign(seed):
+    """A null campaign of the null-scan benchmark workload (perfbench/configs.null_config):
+    no cavity shift, 3 replications of 300-point, 300-s sweeps."""
+    film = default_film()
+    return default_config(
+        film=film, cavity=CavityParams(film=film, shift_max_uK=0.0),
+        noise=NoiseModel(DEFAULT_SIGMA_FAST_UK, DEFAULT_DRIFT_UK_PER_HR, seed),
+        replications=3, sweep_duration_s=300.0, points_per_sweep=300)
+
+
+class TestSigmaCalibration:
+    """The null-pair σ matches the scatter it stands for (default noise and drift)."""
+
+    @pytest.mark.parametrize("field", [2.0, 7.2])
+    @pytest.mark.parametrize("points", [300, 1200, 4800])
+    def test_scatter_over_sample_sigma_near_one(self, points, field):
+        # 600 triplets: the ratio's standard error is about 4%
+        cfg, trips = film_triplets(points, field, 600, seed=24)
+        rn, tc0 = cfg.film.rn_ohm, cfg.film.tc0_K
+        scatter = np.std([drift_corrected_shift(t, tc0, rn).delta_t for t in trips], ddof=1)
+        ratio = scatter / sample_sigma(trips, cfg.film_sample_id, rn, tc0)
+        assert 0.9 <= ratio <= 1.1
+
+    def test_null_z_spread_near_one(self):
+        z = []
+        for seed in range(200):
+            cfg = null_campaign(seed)
+            d = analyze_campaign(run_campaign(cfg), rn_ohm=cfg.film.rn_ohm).differential
+            z += (d.gap_uK / d.sigma_uK).tolist()
+        assert 0.9 <= np.std(z) <= 1.1
+
+
+# -- every analysis entry point on any input: finite values out, or an error that the
+# CLI maps to exit 2, 3 or 4. Finite inputs stay in the ranges of real data (fields on a
+# 0.1 mT grid within +-10 mT or 1e-80 mT, shifts within +-1e-3, sigmas within 1e-4); NaN
+# and infinities stand in for a bad reading, value or Tc0.
+
+MAPPED_ERRORS = (ConfigError, DataError, NumericalError)
+SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf])
+TC0 = st.sampled_from([1.5, -1.5, -0.0, 0.0, math.nan, math.inf, -math.inf]) | st.floats(0.5, 5.0)
+FIELDS = st.sampled_from([0.0, 1e-80, 2.0, 7.2, -7.2]) | st.integers(-100, 100).map(
+    lambda k: k / 10)
+SHIFTS = st.floats(-1e-3, 1e-3)
+SIGMAS = st.just(0.0) | st.floats(0.0, 1e-4)
+SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
+
+
+def finite(*values):
+    return all(np.isfinite(np.asarray(v, dtype=float)).all() for v in values)
+
+
+def outcome(call):
+    """call()'s result, or None when it raises an error that the CLI maps."""
+    try:
+        return call()
+    except MAPPED_ERRORS:
+        return None
+
+
+@st.composite
+def spoiled_arrays(draw, n, elements):
+    """n values, at times one of them NaN or infinite."""
+    values = np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+    if n and draw(st.booleans()):
+        values[draw(st.integers(0, n - 1))] = draw(SPECIAL)
+    return values
+
+
+@st.composite
+def estimate_lists(draw, max_size=10):
+    """Finite ShiftEstimates; their sigmas all zero, all equal or any."""
+    n = draw(st.integers(0, max_size))
+    fields = draw(st.lists(FIELDS, min_size=n, max_size=n))
+    shifts = draw(st.lists(SHIFTS, min_size=n, max_size=n))
+    spread = draw(st.sampled_from(["zero", "uniform", "any"]))
+    sigmas = {"zero": [0.0] * n, "uniform": [draw(SIGMAS)] * n,
+              "any": draw(st.lists(SIGMAS, min_size=n, max_size=n))}[spread]
+    kind = draw(st.sampled_from(["film", "cavity"]))
+    return [ShiftEstimate(h, dt, s, "s", kind) for h, dt, s in zip(fields, shifts, sigmas)]
+
+
+def spoil_sweep(draw, sweep, rn_ohm):
+    how = draw(st.sampled_from(["T", "R", "cut", "offset"]))
+    if how == "cut":
+        keep = sweep.r_meas_ohm < 0.5 * rn_ohm
+        return dataclasses.replace(sweep, tau_s=sweep.tau_s[keep], t_meas_K=sweep.t_meas_K[keep],
+                                   r_meas_ohm=sweep.r_meas_ohm[keep])
+    if how == "offset":
+        return translated(sweep, draw(st.sampled_from([1e-3, -1e-3, 1.0, 1e6])))
+    name = {"T": "t_meas_K", "R": "r_meas_ohm"}[how]
+    values = getattr(sweep, name).copy()
+    values[draw(st.integers(0, len(values) - 1))] = draw(SPECIAL)
+    return dataclasses.replace(sweep, **{name: values})
+
+
+@st.composite
+def triplet_sets(draw, single=False):
+    """(config, triplets): one, all or some of the pool's triplets, at times one sweep
+    spoiled or every reading 3 K lower (a negative Tc0)."""
+    cfg, pool = triplet_pool()
+    index = st.integers(0, len(pool) - 1)
+    picks = draw(st.lists(index, min_size=1, max_size=1) if single else
+                 st.just(range(len(pool))) | st.lists(index, unique=True, max_size=len(pool)))
+    triplets = [pool[i] for i in sorted(picks)]
+    spoil = draw(st.sampled_from(["none", "none", "one sweep", "all 3 K lower"]))
+    if triplets and spoil == "all 3 K lower":
+        triplets = [dataclasses.replace(t, **{p: translated(s, -3.0) for p, s in t.sweeps()})
+                    for t in triplets]
+    elif triplets and spoil == "one sweep":
+        i = draw(st.integers(0, len(triplets) - 1))
+        position = draw(st.sampled_from(["pre", "mid", "post"]))
+        sweep = spoil_sweep(draw, getattr(triplets[i], position), cfg.film.rn_ohm)
+        triplets[i] = dataclasses.replace(triplets[i], **{position: sweep})
+    return cfg, triplets
+
+
+class TestEntryPointsOnAnyInput:
+    @given(st.sampled_from([0, 1, 2, 50]).flatmap(
+        lambda n: st.tuples(spoiled_arrays(n, st.floats(1.49, 1.51)),
+                            spoiled_arrays(n, st.floats(1.49, 1.51)))), TC0)
+    @SETTINGS
+    def test_estimate_shift(self, temperatures, tc0_K):
+        delta_t = outcome(lambda: estimate_shift(*temperatures, tc0_K))
+        assert delta_t is None or finite(delta_t)
+
+    @given(triplet_sets(single=True), TC0, SIGMAS)
+    @SETTINGS
+    def test_drift_corrected_shift(self, triplets, tc0_K, sigma):
+        cfg, [trip] = triplets
+        est = outcome(lambda: drift_corrected_shift(trip, tc0_K, cfg.film.rn_ohm,
+                                                    sigma_delta_t=sigma))
+        assert est is None or finite(est.delta_t, est.sigma_delta_t)
+
+    @given(triplet_sets(), st.sampled_from(["film01", "cav01"]), TC0)
+    @SETTINGS
+    def test_sample_sigma(self, triplets, sample_id, tc0_K):
+        cfg, trips = triplets
+        sigma = outcome(lambda: sample_sigma(trips, sample_id, cfg.film.rn_ohm, tc0_K))
+        assert sigma is None or (finite(sigma) and sigma >= 0)
+
+    @given(estimate_lists(), st.sampled_from([0.0, 5.0, math.nan, math.inf]) | st.floats(0, 10),
+           st.booleans())
+    @SETTINGS
+    def test_fit_parabola(self, estimates, threshold, include_linear):
+        # FitResult itself rejects a non-finite coefficient or covariance
+        fit = outcome(lambda: fit_parabola(estimates, threshold, include_linear))
+        assert fit is None or finite(fit.rms_residual)
+
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        spoiled_arrays(n, FIELDS), spoiled_arrays(n, SHIFTS), spoiled_arrays(n, SIGMAS))))
+    @SETTINGS
+    def test_field_means(self, arrays):
+        means = outcome(lambda: field_means(*arrays))
+        assert means is None or finite(*means)
+
+    @given(estimate_lists(), TC0, st.booleans())
+    @SETTINGS
+    def test_differential_signal(self, cavity, tc0_K, include_linear):
+        # DifferentialSignal itself rejects non-finite arrays
+        d = outcome(lambda: differential_signal(film_pool_fit(include_linear), cavity, tc0_K))
+        assert d is None or finite(d.max_gap_uK, d.sigma_at_max_uK)
+
+    @given(estimate_lists(max_size=5), TC0)
+    @SETTINGS
+    def test_estimate_sensitivity(self, repeats, tc0_K):
+        sens = outcome(lambda: estimate_sensitivity(repeats, tc0_K))
+        assert sens is None or (finite(sens) and sens >= 0)
+
+    @given(triplet_sets(), st.sampled_from([None, None, 0.0, 6.0, math.nan]), st.booleans())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_analyze_campaign(self, triplets, threshold, include_linear):
+        cfg, trips = triplets
+        res = outcome(lambda: analyze_campaign(trips, cfg.film.rn_ohm, threshold, include_linear))
+        assert res is None or finite(
+            [e.sigma_delta_t for e in res.estimates], list(res.tc0_K.values()),
+            res.sensitivity_uK, res.film_fit.rms_residual)

@@ -760,6 +760,16 @@ class TestMalformedInput:
             assert result.exit_code == 3
             assert f"{victim}: {named}" in result.stderr
 
+    def test_negative_tc0_exits_3(self, runner, run_dir):
+        # every temperature 3 K lower: the sweeps invert, but Tc0 comes out near -1.5 K
+        data = np.load(run_dir / "sweeps.npy")
+        data[:, :, 1] -= 3.0
+        np.save(run_dir / "sweeps.npy", data)
+        result = runner.invoke(main, ["analyze", str(run_dir)])
+        assert result.exit_code == 3, result.output
+        assert "data error: Tc0 must be positive and finite, got -1.4" in result.stderr
+        assert not (run_dir / "analysis").exists()
+
     def test_rows_follow_the_manifest(self, runner, run_dir):
         run_ok(runner, ["analyze", str(run_dir), "--quiet"])
         expected = (run_dir / "analysis" / "shifts.csv").read_bytes()
