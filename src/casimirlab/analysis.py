@@ -450,15 +450,19 @@ def field_means(field_mT, y, sigma):
 
     Returns (fields, means, variances). The variance is that of the mean of
     n values of equal sigma, as within one sample (pipeline.sample_sigma).
-    A NaN or infinite input raises DataError.
+    A NaN or infinite input, or a mean or variance that overflows, raises
+    DataError.
     """
     y, sigma = np.asarray(y, dtype=float), np.asarray(sigma, dtype=float)
     if not np.isfinite([field_mT, y, sigma]).all():
         raise DataError("per-field means need finite fields, values and sigmas")
     groups = field_groups(field_mT)
-    means = [y[idx].mean() for _, idx in groups]
-    variances = [np.mean(sigma[idx] ** 2) / len(idx) for _, idx in groups]
-    return np.array([f for f, _ in groups]), np.array(means), np.array(variances)
+    with np.errstate(all="ignore"):  # an overflow shows in the result
+        means = np.array([y[idx].mean() for _, idx in groups])
+        variances = np.array([np.mean(sigma[idx] ** 2) / len(idx) for _, idx in groups])
+    if not (np.isfinite(means).all() and np.isfinite(variances).all()):
+        raise DataError("per-field means overflow: values or sigmas too large")
+    return np.array([f for f, _ in groups]), means, variances
 
 
 def differential_signal(film_fit: FitResult, cavity_estimates, tc0_K: float) -> DifferentialSignal:
@@ -494,9 +498,15 @@ def differential_signal(film_fit: FitResult, cavity_estimates, tc0_K: float) -> 
 
 
 def estimate_sensitivity(repeats, tc0_K: float) -> float:
-    """Scatter (uK) of repeated shift estimates taken under identical conditions."""
+    """Scatter (uK) of repeated shift estimates taken under identical conditions.
+
+    A scatter that overflows (shifts near the float limit) raises DataError.
+    """
     if len(repeats) < 3:
         raise InsufficientData("sensitivity estimate needs >= 3 repeats")
     check_tc0(tc0_K)
-    shifts = np.array([e.delta_t for e in repeats]) * tc0_K * 1e6
-    return float(np.std(shifts, ddof=1))
+    with np.errstate(all="ignore"):  # an overflow shows in the result
+        sensitivity = float(np.std(np.array([e.delta_t for e in repeats]) * tc0_K * 1e6, ddof=1))
+    if not math.isfinite(sensitivity):
+        raise DataError("the sensitivity estimate overflows: shifts too large")
+    return sensitivity

@@ -11,6 +11,7 @@ numbers with 17 significant digits so that they round-trip exactly.
 from __future__ import annotations
 
 import json
+import os
 from datetime import datetime, timezone
 from io import StringIO
 from itertools import chain
@@ -54,29 +55,62 @@ def write_sweep_csv(path, traces) -> None:
         np.save(f, data)
 
 
+def _read_rows(f, n_rows: int, rows) -> np.ndarray:
+    """The given rows of the open .npy file f, checked to hold a C-order float64
+    (n_rows, points, 3) array with points >= MIN_SWEEP_POINTS; a ValueError names the fault.
+
+    Rows are read straight into the returned (len(rows), points, 3) array,
+    one read per run of consecutive rows. The file's size is checked before
+    the array is allocated.
+    """
+    version = np.lib.format.read_magic(f)
+    read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}.get(version)
+    if read_header is None:  # version 3.0 only adds UTF-8 field names
+        raise ValueError(f"npy format version {version[0]}.{version[1]}, expected 1.0 or 2.0")
+    shape, fortran_order, dtype = read_header(f)
+    if (dtype != np.float64 or len(shape) != 3 or shape[0] != n_rows
+            or shape[1] < MIN_SWEEP_POINTS or shape[2] != len(SWEEP_COLUMNS)):
+        raise ValueError(f"holds a {dtype} array of shape {shape}, expected "
+                         f"float64 ({n_rows} sweeps, >= {MIN_SWEEP_POINTS} points, "
+                         f"{len(SWEEP_COLUMNS)}): {', '.join(SWEEP_COLUMNS)}")
+    if fortran_order:  # its rows are not contiguous, so no offset addresses one
+        raise ValueError("holds a Fortran-order array, expected C order")
+    start, row_bytes = f.tell(), shape[1] * shape[2] * dtype.itemsize
+    size = os.fstat(f.fileno()).st_size
+    if size < start + n_rows * row_bytes:
+        raise ValueError(f"holds {size} bytes, but its header claims {n_rows} rows of "
+                         f"{row_bytes} bytes after {start} bytes of header")
+    block = np.empty((len(rows), *shape[1:]))
+    firsts = [i for i in range(len(rows)) if i == 0 or rows[i] != rows[i - 1] + 1]
+    for first, end in zip(firsts, firsts[1:] + [len(rows)]):
+        f.seek(start + rows[first] * row_bytes)
+        if f.readinto(block[first:end]) != (end - first) * row_bytes:
+            raise ValueError(f"ends inside row {rows[end - 1]}")
+    return block
+
+
 def read_sweep_csv(path, n_rows: int, picks) -> list:
     """SweepTraces of the picked rows of a `write_sweep_csv` file; bad content is a DataError.
 
     picks lists (n, entry) pairs, entry being the checked files[n] of the
-    manifest, whose "row" names its sweep's row. The file is memory-mapped,
-    without np.load's zip and pickle branches, and must hold a float64
-    (n_rows, points, 3) array with points >= MIN_SWEEP_POINTS. Only the
-    picked rows are copied out, in one gather in picks order; of those that
-    hold a non-finite number or times that do not strictly increase, the
-    first in picks order is named by its files[n].
+    manifest, whose "row" names its sweep's row. The file is opened once and
+    its header read with numpy's .npy header readers, without np.load's zip
+    and pickle branches. It must hold a C-order float64 (n_rows, points, 3)
+    array with points >= MIN_SWEEP_POINTS, under a .npy version 1.0 or 2.0
+    header: a Fortran-order array, whose rows are not contiguous, and a
+    version 3.0 header, which only UTF-8 field names need, are refused. Only
+    the picked rows are read, in picks order, straight into the returned
+    sweeps' memory; of those that hold a non-finite number or times that do
+    not strictly increase, the first in picks order is named by its files[n].
     """
     try:
-        data = np.lib.format.open_memmap(path, mode="r")
-    # ValueError: bad magic or header, data shorter than the header claims,
-    # an object array; OverflowError: a header claiming more than can be mapped
-    except (OSError, ValueError, OverflowError) as exc:
+        with open(path, "rb") as f:
+            block = _read_rows(f, n_rows, [entry["row"] for _, entry in picks])
+    # ValueError: bad magic, version or header, a wrong array, a file shorter
+    # than its header claims
+    except (OSError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    if (data.dtype != np.float64 or data.ndim != 3 or data.shape[0] != n_rows
-            or data.shape[1] < MIN_SWEEP_POINTS or data.shape[2] != len(SWEEP_COLUMNS)):
-        raise DataError(f"{path}: holds a {data.dtype} array of shape {data.shape}, expected "
-                        f"float64 ({n_rows} sweeps, >= {MIN_SWEEP_POINTS} points, "
-                        f"{len(SWEEP_COLUMNS)}): {', '.join(SWEEP_COLUMNS)}")
-    block = data[[entry["row"] for _, entry in picks]]  # a copy, so the map closes with data
     bad = ~np.isfinite(block)
     traces = []
     for (n, entry), sweep, bad_sweep, faulty in zip(picks, block, bad, bad.any(axis=(1, 2))):

@@ -1117,6 +1117,18 @@ def test_tc0_outside_zero_to_inf_rejected(entry, tc0_K):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: field_means([1.0, 1.0], [1e308, 1e308], [1.0, 1.0]),
+    lambda: field_means([1.0, 1.0], [1.0, 1.0], [1e200, 1e200]),
+    lambda: estimate_sensitivity(
+        [ShiftEstimate(7.2, dt, 0.0, "film01") for dt in (1e300, -1e300, 1e300)], 1.5),
+], ids=["field_means mean", "field_means sigma squared", "estimate_sensitivity square"])
+def test_overflow_near_float_limit_rejected(call):
+    # finite inputs whose sum or square overflows: a DataError, not a RuntimeWarning and inf
+    with pytest.raises(DataError, match="overflow"):
+        call()
+
+
 def film_triplets(points, field, count, seed):
     """count film triplets at one field, back to back, sharing one noiseless ramp per field."""
     cfg = default_config(fields_mT=(field,), points_per_sweep=points,

@@ -390,8 +390,9 @@ class TestSweepCsv:
     def test_read_back_bit_exact(self, tmp_path):
         traces = self.awkward_traces()
         write_sweep_csv(tmp_path / "s.npy", traces)
-        # rows in any order, each named by its own entry, copied out in one gather
-        for rows in ((2, 0), (2, 0, 1), (1,), ()):
+        # rows in any order, each named by its own entry; a run of consecutive rows
+        # is read at once, in and out of file order
+        for rows in ((2, 0), (2, 0, 1), (1,), (), (0, 1, 2), (1, 2, 0), (2, 1)):
             picks = [(n, self.entry(row, traces[row])) for n, row in enumerate(rows)]
             back = read_sweep_csv(tmp_path / "s.npy", 3, picks)
             assert len(back) == len(rows)
@@ -484,6 +485,18 @@ def _claim_shape(shape):
                 f, {"descr": "<f8", "fortran_order": False, "shape": shape(data)})
             f.write(data.tobytes())
     return edit
+
+
+def _version_3_header(path):
+    """The array under a version 3.0 header, which numpy's own readers accept."""
+    data = np.load(path)
+    with open(path, "wb") as f:
+        np.lib.format.write_array_header_2_0(
+            f, {"descr": "<f8", "fortran_order": False, "shape": data.shape})
+        f.write(data.tobytes())
+    with open(path, "r+b") as f:
+        f.seek(len(np.lib.format.MAGIC_PREFIX))
+        f.write(bytes([3, 0]))
 
 
 def _save_npz(path):
@@ -622,9 +635,16 @@ MUTATIONS = {
         lambda p: p.write_bytes(p.read_bytes().replace(b"'descr'", b"'dexcr'"))),
     "header claims more rows than the file holds": _array_edit(
         _claim_shape(lambda d: (len(d) + 1, *d.shape[1:]))),
-    # the reader maps the file, so this claim fails as a map longer than the file
+    # the reader checks the header against the manifest's row count and the file's
+    # size before it allocates, so neither claim allocates what it names
     "header claims too many rows to allocate": _array_edit(
         _claim_shape(lambda d: (2**50, *d.shape[1:]))),
+    "header claims too many points to allocate": _array_edit(
+        _claim_shape(lambda d: (len(d), 2**50, d.shape[2]))),
+    # numpy reads both, write_sweep_csv writes neither: a Fortran-order array's rows are
+    # not contiguous, and version 3.0 exists for UTF-8 field names, which float64 lacks
+    "Fortran-order array": _array_edit(_edit_array(np.asfortranarray)),
+    "npy format version 3.0": _array_edit(_version_3_header),
     "wrong dtype": _array_edit(_edit_array(lambda d: d.astype(np.float32))),
     "pickled object array": _array_edit(_edit_array(lambda d: d.astype(object))),
     "npz archive": _array_edit(_save_npz),
