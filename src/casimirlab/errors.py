@@ -39,3 +39,7 @@ class NumericalError(CasimirLabError):
 
 class SingularFit(NumericalError):
     """The least-squares design matrix is rank deficient."""
+
+
+class NonFiniteResult(NumericalError, ValueError):
+    """An analysis record would hold a NaN or infinite number."""

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from casimirlab import analyze_campaign, run_campaign
+from casimirlab import ShiftEstimate, analyze_campaign, fit_parabola, run_campaign
 from casimirlab import cli as cli_module
 from casimirlab import config as config_module
 from casimirlab.analysis import field_means
@@ -961,7 +961,7 @@ class TestLibraryMatchesCli:
         )
         out = simulate_run(runner, tmp_path, config_text)
         run_ok(runner, ["analyze", str(out)])
-        from casimirlab import analyze_campaign, run_campaign
+        from casimirlab import ShiftEstimate, analyze_campaign, fit_parabola, run_campaign
 
         config = load_config(tmp_path / "run.ini")
         result = analyze_campaign(run_campaign(config), rn_ohm=config.film.rn_ohm)
@@ -1115,6 +1115,14 @@ class TestAnalyzeCommand:
             main, ["analyze", str(out), "--fit-threshold-mT", "10", "--include-linear"])
         assert result.exit_code == 4
         assert "numerical failure: design matrix is rank deficient" in result.stderr
+
+    def test_non_finite_result_exits_4(self, runner, run_dir, monkeypatch):
+        def overflow(*args, **kwargs):
+            fit_parabola([ShiftEstimate(h, 0.0, 1e200, "film01") for h in (6.0, 8.0, 10.0)], 0.0)
+        monkeypatch.setattr(cli_module, "analyze_campaign", overflow)
+        result = runner.invoke(main, ["analyze", str(run_dir)])
+        assert result.exit_code == 4
+        assert "numerical failure: the parabola fit overflows" in result.stderr
 
     def test_film_only_manifest_exits_3(self, runner, run_dir):
         manifest = read_manifest(run_dir)
