@@ -195,8 +195,10 @@ def _invert_chunk(sweeps, levels, rn_ohm: float):
 
     The rows are sorted and pooled together, then read off their own knots by np.interp.
     A row with a non-finite reading is inverted as zeros, so that it pollutes no arithmetic.
-    Rows sort by numpy's default argsort; a row with tied temperatures (a zeroed row among
-    them) is sorted again stably, so that its tied readings keep their order in time.
+    The rows sort in one np.sort of 64-bit keys: the order-preserving integer image of T + 0.0
+    (-0.0 reads as 0.0) less its row's lowest, shifted left by b = (n - 1).bit_length(), OR the
+    point's index, which breaks ties as a stable sort does. A row whose image spans 2^(64 - b) or
+    more (0 K beside 1.5 K, or mK of both signs) alone takes a stable argsort; simulated rows fit.
     """
     t = np.array([s.t_meas_K for s in sweeps], dtype=float)
     r = np.array([s.r_meas_ohm for s in sweeps], dtype=float)
@@ -204,15 +206,20 @@ def _invert_chunk(sweeps, levels, rn_ohm: float):
     finite = np.isfinite(t).all(axis=1) & np.isfinite(r).all(axis=1)
     if not finite.all():
         t[~finite] = r[~finite] = 0.0
-    # one flat gather of both arrays in each row's stable sort order
-    order = np.argsort(t, axis=1)
-    order += np.arange(0, k * n, n)[:, None]
-    t_sorted = t.ravel()[order]
-    tied = np.flatnonzero((t_sorted[:, 1:] == t_sorted[:, :-1]).any(axis=1))
-    if len(tied):  # only there can the default order differ from the stable one
-        order[tied] = np.argsort(t[tied], axis=1, kind="stable") + (tied * n)[:, None]
-        t_sorted[tied] = t.ravel()[order[tied]]
-    t, r = t_sorted, r.ravel()[order]
+    # one flat gather of both arrays in each row's stable sort order, sorted as keys in place
+    key = np.add(t, 0.0).view(np.int64)
+    np.bitwise_xor(key, 2**63 - 1, out=key, where=key < 0)  # a negative T: reverse its order
+    key -= key.min(axis=1, keepdims=True)  # wraps to the unsigned difference
+    keys, b = key.view(np.uint64), (n - 1).bit_length()
+    wide = np.flatnonzero(keys.max(axis=1) > 2**(64 - b) - 1)
+    keys <<= b
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=1)
+    keys &= 2**b - 1
+    key += np.arange(0, k * n, n)[:, None]
+    if len(wide):
+        key[wide] = np.argsort(t[wide], axis=1, kind="stable") + (wide * n)[:, None]
+    t, r = t.ravel()[key], r.ravel()[key]
     r_fit = pav_increasing(r)
     displaced = np.count_nonzero(np.abs(r_fit - r) > DISCARD_TOLERANCE * rn_ohm, axis=1) / n
 
@@ -480,8 +487,8 @@ def field_means(field_mT, y, sigma):
         raise DataError("per-field means need finite fields, values and sigmas")
     groups = field_groups(field_mT)
     with np.errstate(all="ignore"):  # an overflow shows in the result
-        means = np.array([y[idx].mean() for _, idx in groups])
-        variances = np.array([np.mean(sigma[idx] ** 2) / len(idx) for _, idx in groups])
+        means = np.array([y[idx].sum() / len(idx) for _, idx in groups])  # np.mean's steps
+        variances = np.array([(sigma[idx] ** 2).sum() / len(idx) / len(idx) for _, idx in groups])
     if not (np.isfinite(means).all() and np.isfinite(variances).all()):
         raise DataError("per-field means overflow: values or sigmas too large")
     return np.array([f for f, _ in groups]), means, variances

@@ -111,12 +111,12 @@ def read_sweep_csv(path, n_rows: int, picks) -> list:
     # than its header claims
     except (OSError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    bad = ~np.isfinite(block)
+    finite = np.isfinite(block).all(axis=(1, 2))
     traces = []
-    for (n, entry), sweep, bad_sweep, faulty in zip(picks, block, bad, bad.any(axis=(1, 2))):
+    for (n, entry), sweep, faulty in zip(picks, block, ~finite):
         try:
             if faulty:
-                point, column = np.argwhere(bad_sweep)[0]
+                point, column = np.argwhere(~np.isfinite(sweep))[0]
                 raise ValueError(f"point {point}: non-finite {SWEEP_COLUMNS[column]}")
             traces.append(SweepTrace(entry["sample_id"], entry["kind"],
                                      entry["applied_field_mT"], entry["t_start_s"], *sweep.T))

@@ -224,21 +224,27 @@ def sweep_batches(draw):
 def long_sweep_batches(draw):
     """(sweeps of 300, 1200 or 4800 points, sweeps per inversion chunk or None for the
     default): noisy logistic sweeps, tie-free or with temperatures rounded to 1e-4 K, one
-    whose only tie is -0.0 against 0.0, and at times one with a non-finite reading."""
+    whose only tie is -0.0 against 0.0, and at times one with a non-finite reading, one too
+    wide to sort as packed keys (a reading at 0 K) or one of negative temperatures."""
     n = draw(st.sampled_from([300, 1200, 4800]))
     shapes = draw(st.lists(st.sampled_from(["tie-free", "rounded"]), min_size=1, max_size=4))
     shapes.insert(draw(st.integers(0, len(shapes))), "signed zeros")
-    if draw(st.booleans()):
-        shapes.insert(draw(st.integers(0, len(shapes))), "non-finite")
+    for extra in ("non-finite", "wide", "negative"):
+        if draw(st.booleans()):
+            shapes.insert(draw(st.integers(0, len(shapes))), extra)
     sweeps = []
     for j, shape in enumerate(shapes):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        tc = 0.0 if shape == "signed zeros" else 1.5  # so that the zeros sit in the transition
+        # the zeros sit in the transition; T < 0 reverses the order of its bits
+        tc = {"signed zeros": 0.0, "negative": -1.5}.get(shape, 1.5)
         t = tc + np.linspace(-5e-3, 5e-3, n) + rng.normal(0.0, 2e-5, n)
         r = 300.0 / (1.0 + np.exp(-(t - tc) / 1e-3)) + rng.normal(0.0, 1.0, n)
         if shape == "rounded":
             t = np.round(t, 4)
+        elif shape == "wide":
+            t[rng.integers(n)] = 0.0
         elif shape == "signed zeros":
+            t *= 1e-308  # subnormal, within +-6e-311 K: of both signs, yet narrow enough to pack
             i, k = sorted(rng.choice(n, 2, replace=False))
             t[i], t[k] = draw(st.sampled_from([(-0.0, 0.0), (0.0, -0.0)]))
         elif shape == "non-finite":
@@ -615,24 +621,34 @@ class TestInvertTrace:
         if not bad:
             np.testing.assert_array_equal(bits(temps), bits(expected))
 
-    def test_stable_sort_only_where_temperatures_tie(self, monkeypatch):
+    def test_argsort_only_for_rows_too_wide_to_pack(self, monkeypatch):
+        # tie-free, tied (1e-4 K) and signed-zero rows sort as packed keys; only a row whose
+        # image spans 2^(64 - b), b = 11 at 1200 points (1 K to 4 K), takes a stable argsort,
+        # and one a ulp narrower does not. Every row is inverted as when sorted alone.
         sweeps = [s for t in run_campaign(default_config(replications=1)) for _, s in t.sweeps()]
-        assert all(len(np.unique(s.t_meas_K)) == s.n_points for s in sweeps)
-        rounded = [dataclasses.replace(s, t_meas_K=np.round(s.t_meas_K, 4)) for s in sweeps]
-        kinds = []
+        assert all(len(np.unique(s.t_meas_K)) == s.n_points == 1200 for s in sweeps)
+        rounded = [dataclasses.replace(s, t_meas_K=np.round(s.t_meas_K, 4)) for s in sweeps[:8]]
+        zeros = (sweeps[8].t_meas_K - 1.5) * 1e-308  # subnormal, narrow enough to pack
+        zeros[[100, 700]] = 0.0, -0.0
+        t = sweeps[9].t_meas_K
+        wide = 1.0 + 3.0 * (t - t.min()) / (t.max() - t.min())
+        assert wide.min() == 1.0 and wide.max() == 4.0
+        fits = np.where(wide == 4.0, np.nextafter(4.0, 0.0), wide)
+        rows = [dataclasses.replace(s, t_meas_K=t) for s, t in zip(sweeps[8:], [zeros, fits])]
+        batches = [sweeps, rounded + rows, rows + [dataclasses.replace(sweeps[9], t_meas_K=wide)]]
+        levels = default_levels(300.0)
+        expected = [[invert_one_by_one(s, levels, 300.0) for s in b] for b in batches]
+        calls = []
         argsort = np.argsort
 
-        def counting(a, *args, **kwargs):
-            kinds.append(kwargs.get("kind"))
+        def recording(a, *args, **kwargs):
+            calls.append((np.shape(a), kwargs.get("kind")))
             return argsort(a, *args, **kwargs)
 
-        monkeypatch.setattr(np, "argsort", counting)
-        levels = default_levels(300.0)
-        invert_trace(sweeps, levels, 300.0)
-        assert kinds and "stable" not in kinds
-        kinds.clear()
-        invert_trace(rounded, levels, 300.0)
-        assert "stable" in kinds
+        monkeypatch.setattr(np, "argsort", recording)
+        for batch, alone in zip(batches, expected):
+            np.testing.assert_array_equal(bits(invert_trace(batch, levels, 300.0)), bits(alone))
+        assert calls == [((1, 1200), "stable")]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("attribute, column", [("t_meas_K", "T_meas_K"),
