@@ -9,7 +9,7 @@ All randomness descends from a single master seed. Each sweep draws from
 its own generator whose sub-seed is a deterministic hash of
 (master seed, sample id, applied field, sweep start time), so a campaign
 can be generated in any order with bit-identical results. `run_campaign`
-derives every sweep's generator state in one batch, equal to `sweep_rng`'s.
+builds every sweep's generator state once, in one batch, equal to `sweep_rng`'s.
 
 A sweep is a noiseless ramp (the time grid, the true-temperature grid and
 the model resistance on it) plus its own drift and noise. The zero-field
@@ -99,7 +99,7 @@ class SweepTrace:
             raise ValueError("sweep arrays must have one length")
         if len(self.tau_s) < MIN_SWEEP_POINTS:
             raise ValueError(f"sweep needs >= {MIN_SWEEP_POINTS} points")
-        if not (self.tau_s[1:] > self.tau_s[:-1]).all():
+        if np.count_nonzero(self.tau_s[1:] > self.tau_s[:-1]) < len(self.tau_s) - 1:
             raise ValueError("sweep times must be strictly increasing")
 
     @property
@@ -203,15 +203,17 @@ def _batch_rng(seed: int, sweeps):
     """sweep_rng for each (sample_id, field_mT, t_start_s) of `sweeps`, seeded in one batch.
 
     The returned function takes sweep_rng's arguments (the seed is the
-    batch's) and sets the sweep's state on one reused Generator. It
-    repeats numpy's seeding, fixed by its stream-compatibility policy:
-    SeedSequence hashes the words of [seed, sub] (at most four, a missing
-    one as a zero) into a pool of four and draws from it PCG64's 128-bit
-    seed and stream, from which PCG64 sets its state in two LCG steps.
-    Constants stay Python ints, as numpy scalars warn on overflow.
+    batch's) and loads the sweep's state, built once from its bytes key and
+    looked up by its tuple, into one reused Generator. Tuples merge only
+    fields of 0.0 and -0.0 at one sample and start time, and no schedule
+    starts two sweeps of one sample together. The batch repeats numpy's
+    seeding, fixed by its stream-compatibility policy: SeedSequence hashes
+    the words of [seed, sub] (at most four, a missing one as a zero) into a
+    pool of four and draws from it PCG64's 128-bit seed and stream, from
+    which PCG64 sets its state in two LCG steps. Constants stay Python ints,
+    as numpy scalars warn on overflow.
     """
-    keys = [_sweep_key(*sweep) for sweep in sweeps]
-    subs = np.array([_sub_seed(key) for key in keys], dtype=np.uint64)
+    subs = np.array([_sub_seed(_sweep_key(*sweep)) for sweep in sweeps], dtype=np.uint64)
     seed, mask32 = int(seed), 0xFFFFFFFF
     words = [seed & mask32] + ([seed >> 32] if seed >> 32 else []) + [subs & mask32, subs >> 32]
 
@@ -233,15 +235,14 @@ def _batch_rng(seed: int, sweeps):
     draw = hasher(0x8B51F9DD, 0x58F38DED)
     drawn = np.array([draw(pool[i % 4]) for i in range(8)], dtype=np.uint64)
     mult, mask128, states = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1, {}
-    for key, s_hi, s_lo, i_hi, i_lo in zip(keys, *(drawn[::2] | drawn[1::2] << 32).tolist()):
+    for sweep, s_hi, s_lo, i_hi, i_lo in zip(sweeps, *(drawn[::2] | drawn[1::2] << 32).tolist()):
         inc = (i_hi << 65 | i_lo << 1 | 1) & mask128
-        states[key] = ((inc + (s_hi << 64 | s_lo)) * mult + inc) & mask128, inc
+        states[sweep] = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
+            "state": ((inc + (s_hi << 64 | s_lo)) * mult + inc) & mask128, "inc": inc}}
     generator = np.random.default_rng(0)
 
     def rng(_seed, *sweep):
-        state, inc = states[_sweep_key(*sweep)]
-        generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                                         "uinteger": 0, "state": {"state": state, "inc": inc}}
+        generator.bit_generator.state = states[sweep]
         return generator
 
     return rng
@@ -297,8 +298,11 @@ def generate_sweep(
 
     tau, t_true, r_meas = ramp(sample, h_mT, duration_s, n, enhancement)
     generator = rng(noise.seed, sample_id, h_mT, t_start_s)
-    drift_K = noise.drift_uK_per_hr * 1e-6 * (t_start_s + tau) / 3600.0
-    t_meas = t_true + drift_K + generator.normal(0.0, noise.sigma_fast_uK * 1e-6, n)
+    t_meas = t_start_s + tau  # t_true + drift + noise, in place; + and * commute
+    t_meas *= noise.drift_uK_per_hr * 1e-6
+    t_meas /= 3600.0
+    t_meas += t_true
+    t_meas += generator.normal(0.0, noise.sigma_fast_uK * 1e-6, n)
 
     return SweepTrace(sample_id, kind, h_mT, t_start_s, tau, t_meas, r_meas)
 

@@ -1,6 +1,7 @@
 """Simulator tests: determinism, drift, scheduling and campaign structure."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -20,10 +21,11 @@ from casimirlab import (
     run_triplet,
     simulate,
 )
-from casimirlab.config import default_config
+from casimirlab.config import default_config, default_film
 from casimirlab.errors import ConfigError
 from casimirlab.physics import transition_midpoint, transition_width_e
 from casimirlab.simulate import _batch_rng, campaign_schedule, sweep_rng
+from test_analysis import null_campaign
 
 
 def invert_noiseless(trace, film, level_ohm):
@@ -108,6 +110,28 @@ class TestGenerateSweep:
         tr = generate_sweep(film, 0.0, quiet_noise, 0.0, 1200.0, 200)
         with pytest.raises(ValueError, match="^sweep arrays must have one length$"):
             dataclasses.replace(tr, **{column: getattr(tr, column)[:150]})
+
+    @pytest.mark.parametrize("index", [0, 1, 100, 199])
+    @pytest.mark.parametrize("edit", ["tie", "one ulp back", "nan", "one ulp on"])
+    def test_times_must_increase_strictly(self, film, quiet_noise, index, edit):
+        tr = generate_sweep(film, 0.0, quiet_noise, 0.0, 1200.0, 200)
+        tau = tr.tau_s.copy()
+        # tau[index] set to its neighbour, one ulp past it, NaN, or one ulp short of it
+        near, ahead = (tau[1], -np.inf) if index == 0 else (tau[index - 1], np.inf)
+        tau[index] = {"tie": near, "one ulp back": np.nextafter(near, -ahead), "nan": np.nan,
+                      "one ulp on": np.nextafter(near, ahead)}[edit]
+        if edit == "one ulp on":
+            assert dataclasses.replace(tr, tau_s=tau).n_points == 200
+        else:
+            with pytest.raises(ValueError, match="^sweep times must be strictly increasing$"):
+                dataclasses.replace(tr, tau_s=tau)
+
+    def test_signed_zero_times_tie(self, film, quiet_noise):
+        tr = generate_sweep(film, 0.0, quiet_noise, 0.0, 1200.0, 200)
+        tau = tr.tau_s.copy()
+        tau[:2] = -0.0, 0.0
+        with pytest.raises(ValueError, match="^sweep times must be strictly increasing$"):
+            dataclasses.replace(tr, tau_s=tau)
 
 
 class TestRunTriplet:
@@ -325,3 +349,63 @@ class TestSubSeeding:
             sweep_rng(5, "x", 7.2, 101.0),
         ):
             assert not np.array_equal(base, rng.normal(size=4))
+
+
+class TestCampaignStreams:
+    """run_campaign's batch seeding and in-place readings keep every noise stream."""
+
+    # sha256 of every sweep's t_meas_K bytes, in campaign order, of the
+    # null-scan campaigns (perfbench/configs.null_config) at seeds 0, 1, 2**64 - 1
+    NULL_STREAMS_SHA256 = "a92284846abc4a4b67312c335223612029a8dbfb229aed1769288ac11c169bdc"
+
+    def test_formats_each_sweep_key_once(self, monkeypatch):
+        sweep_key, keys = simulate._sweep_key, []
+
+        def counting(*sweep):
+            keys.append(sweep)
+            return sweep_key(*sweep)
+
+        monkeypatch.setattr(simulate, "_sweep_key", counting)
+        trips = run_campaign(null_campaign(0))
+        assert len(keys) == 3 * len(trips) == 216
+        assert len(set(keys)) == 216
+
+    def test_null_scan_streams_digest(self):
+        digest = hashlib.sha256()
+        for seed in (0, 1, 2**64 - 1):
+            for trip in run_campaign(null_campaign(seed)):
+                for _, sweep in trip.sweeps():
+                    digest.update(sweep.t_meas_K.tobytes())
+        assert digest.hexdigest() == self.NULL_STREAMS_SHA256
+
+    @given(drift=st.sampled_from([0.0, -0.0, 50.0, -50.0, 1e6, -1e6]),
+           sigma=st.sampled_from([0.0, 40.0]),
+           t_start_s=st.sampled_from([0.0, 1.5e5, 1e9]),
+           h_mT=st.sampled_from([0.0, -0.0, 3.0, -7.2]),
+           n=st.sampled_from([50, 300]),
+           seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_readings_equal_reference_sum(self, drift, sigma, t_start_s, h_mT, n, seed):
+        film = default_film()
+        noise = NoiseModel(sigma_fast_uK=sigma, drift_uK_per_hr=drift, seed=seed)
+        trace = generate_sweep(film, h_mT, noise, t_start_s, 300.0, n, sample_id="x")
+        tau, t_true, _ = simulate._ramp(film, h_mT, 300.0, n, 1.0)
+        drift_K = drift * 1e-6 * (t_start_s + tau) / 3600.0
+        noise_K = sweep_rng(seed, "x", h_mT, t_start_s).normal(0.0, sigma * 1e-6, n)
+        assert trace.t_meas_K.tobytes() == (t_true + drift_K + noise_K).tobytes()
+
+    def test_negative_zero_field_campaign_equals_one_by_one(self):
+        noise = NoiseModel(sigma_fast_uK=30.0, drift_uK_per_hr=-50.0, seed=11)
+        cfg = default_config(noise=noise, fields_mT=(-0.0, 1.0), replications=2,
+                             points_per_sweep=100)
+        campaign = run_campaign(cfg)
+        one_by_one = [run_triplet(cfg, kind, h, t0, rep)
+                      for kind, h, rep, t0 in campaign_schedule(cfg)]
+        assert len(campaign) == len(one_by_one) == 8
+        assert math.copysign(1, campaign[0].mid.field_mT) == -1
+        for a, b in zip(campaign, one_by_one):
+            for (_, ta), (_, tb) in zip(a.sweeps(), b.sweeps()):
+                assert (ta.sample_id, ta.t_start_s) == (tb.sample_id, tb.t_start_s)
+                assert math.copysign(1, ta.field_mT) == math.copysign(1, tb.field_mT)
+                for name in ("tau_s", "t_meas_K", "r_meas_ohm"):
+                    assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes()
