@@ -4,7 +4,9 @@ Implements monotone trace inversion, batched over the sweeps of a
 campaign, Tc0 as the mean of T(R) over the resistance levels, the
 averaged-difference shift estimator over the 0.2-0.8 R/RN window, triplet
 drift correction, the high-field parabola fit, the film-cavity
-differential signal and the repeat-based sensitivity estimate. Each
+differential signal with its gaps' covariance, significance (the largest
+z over the fields) and global p-value, the template amplitude of a stated
+cavity shift curve and the repeat-based sensitivity estimate. Each
 sweep's level temperatures are computed once and kept on the sweep
 (`_level_temperatures`); `pipeline.analyze_campaign` fills them for every
 sweep in one `invert_trace` call, and the estimators read them.
@@ -15,6 +17,7 @@ scaled by mean(σ²).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,7 +112,14 @@ class FitResult:
 
 @dataclass(frozen=True)
 class DifferentialSignal:
-    """Film-fit minus cavity-data gap at each measured cavity field (ascending), in uK."""
+    """Film-fit minus cavity-data gap at each measured cavity field (ascending), in uK.
+
+    max_gap_uK, field_at_max_mT and sigma_at_max_uK are those of the largest gap. The
+    gaps' covariance is Σ = L Lᵀ + diag(v): the film fit's error, which every field
+    shares, enters as L = film_factor_uK (one column per fitted coefficient), and each
+    cavity mean's own variance as v = cavity_var_uK2; sigma_uK is √diag(Σ). A record
+    built without them has independent gaps (L has no column, v = sigma_uK²).
+    """
 
     field_mT: np.ndarray
     gap_uK: np.ndarray
@@ -117,18 +127,81 @@ class DifferentialSignal:
     max_gap_uK: float
     field_at_max_mT: float
     sigma_at_max_uK: float
+    film_factor_uK: np.ndarray | None = None
+    cavity_var_uK2: np.ndarray | None = None
 
     def __post_init__(self):
         if not len(self.field_mT) == len(self.gap_uK) == len(self.sigma_uK):
             raise ValueError("differential signal arrays must have one length")
         if not np.isfinite([self.field_mT, self.gap_uK, self.sigma_uK]).all():
             raise NonFiniteResult("differential signal arrays must be finite")
+        if self.film_factor_uK is None:
+            object.__setattr__(self, "film_factor_uK", np.zeros((len(self.gap_uK), 0)))
+            object.__setattr__(self, "cavity_var_uK2", self.sigma_uK ** 2)
+
+    @property
+    def z(self) -> np.ndarray:
+        """gap/σ at each field; a zero σ gives inf for a positive gap and 0 otherwise."""
+        return np.divide(self.gap_uK, self.sigma_uK, where=self.sigma_uK > 0,
+                         out=np.where(self.gap_uK > 0, np.inf, 0.0))
 
     @property
     def significance(self) -> float:
-        if self.sigma_at_max_uK == 0:
-            return float("inf") if self.max_gap_uK > 0 else 0.0
-        return self.max_gap_uK / self.sigma_at_max_uK
+        """The largest z over the measured fields."""
+        return float(self.z.max())
+
+    @property
+    def covariance_uK2(self) -> np.ndarray:
+        """Σ, in uK²."""
+        return self.film_factor_uK @ self.film_factor_uK.T + np.diag(self.cavity_var_uK2)
+
+    @property
+    def p_global(self) -> float:
+        """Probability that a campaign without cavity shift reads a significance this large.
+
+        Given the film fit's error L u, u ~ N(0, I), the gaps are independent, so
+        p = E_u[1 - ∏_k Φ((z σ_k - (L u)_k) / √v_k)] for z the significance: Dunnett's
+        many-to-one structure (J. Amer. Statist. Assoc. 50, 1096 (1955)), the exact form
+        of the look-elsewhere correction of Gross & Vitells (Eur. Phys. J. C 70, 525
+        (2010)), integrated by Gauss-Hermite quadrature over u (QUADRATURE_NODES per
+        column of L). Each term sums log1p(-q_k) and takes -expm1, so a tiny p keeps
+        its digits.
+        """
+        z = self.significance
+        if z == math.inf:
+            return 0.0
+        nodes, weights = _normal_quadrature()
+        u, weight = np.zeros((1, 0)), np.ones(1)
+        for _ in range(self.film_factor_uK.shape[1]):  # the tensor grid, one axis per column
+            u = np.column_stack([np.repeat(u, len(nodes), axis=0), np.tile(nodes, len(u))])
+            weight = np.repeat(weight, len(nodes)) * np.tile(weights, len(weight))
+        sd = np.sqrt(self.cavity_var_uK2)
+        with np.errstate(all="ignore"):  # a zero v_k is a step: q_k is 1 or 0
+            x = z * self.sigma_uK - u @ self.film_factor_uK.T
+            t = np.divide(x, sd * math.sqrt(2.0), where=sd > 0,
+                          out=np.where(x > 0, np.inf, -np.inf))
+            q = 0.5 * _erfc(t).astype(float)  # P(z_k >= z | u)
+            return float(weight @ -np.expm1(np.log1p(-q).sum(axis=1)))
+
+
+QUADRATURE_NODES = 32  # Gauss-Hermite nodes per axis of the p_global integral
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+@functools.cache
+def _normal_quadrature():
+    """Nodes and weights of the QUADRATURE_NODES-point Gauss-Hermite rule for E[f(u)], u ~ N(0, 1).
+
+    The eigenvalues of the Jacobi matrix of the probabilists' Hermite recurrence and the
+    squared first components of its eigenvectors (Golub & Welsch, Math. Comp. 23, 221
+    (1969)); the weights sum to 1.
+    """
+    off = np.sqrt(np.arange(1.0, QUADRATURE_NODES))
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    weights = vectors[0] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every call
+    return nodes, weights
 
 
 def pav_increasing(y: np.ndarray) -> np.ndarray:
@@ -501,8 +574,11 @@ def differential_signal(film_fit: FitResult, cavity_estimates, tc0_K: float) -> 
     analysis assumes no cavity model; each field's uncertainty combines the
     fit covariance with the variance of its mean. No field between two
     measured ones has a larger gap: for a film fit a*H^2 + b*H with a > 0,
-    the gap to a straight line between them is convex. A gap or σ that
-    overflows raises NonFiniteResult.
+    the gap to a straight line between them is convex. The film fit is the
+    only error term the fields share: the record keeps it as the factor
+    L = X F, with X's rows (H², H)·Tc0·1e6 over the fitted coefficients and
+    F Fᵀ the fit covariance, beside the cavity means' variances. A gap or σ
+    that overflows raises NonFiniteResult.
     """
     check_tc0(tc0_K)
     fields, cav_dt, cav_var = field_means(
@@ -514,9 +590,13 @@ def differential_signal(film_fit: FitResult, cavity_estimates, tc0_K: float) -> 
         raise InsufficientData("differential signal needs >= 2 distinct fields")
 
     scale = tc0_K * 1e6
+    n = 2 if film_fit.include_linear else 1
     with np.errstate(all="ignore"):  # an overflow shows in DifferentialSignal's check
         gap = (film_fit.predict(fields) - cav_dt) * scale
         sigma = np.sqrt(film_fit.predict_var(fields) + cav_var) * scale
+        eigenvalues, vectors = np.linalg.eigh(film_fit.covariance[:n, :n])
+        design = np.stack([fields * fields, fields], axis=1)[:, :n] * scale
+        factor = design @ (vectors * np.sqrt(np.maximum(eigenvalues, 0.0)))
     imax = int(np.argmax(gap))
     return DifferentialSignal(
         field_mT=fields,
@@ -525,7 +605,33 @@ def differential_signal(film_fit: FitResult, cavity_estimates, tc0_K: float) -> 
         max_gap_uK=float(gap[imax]),
         field_at_max_mT=float(fields[imax]),
         sigma_at_max_uK=float(sigma[imax]),
+        film_factor_uK=factor,
+        cavity_var_uK2=cav_var * scale * scale,
     )
+
+
+def template_amplitude(signal: DifferentialSignal, shape_uK) -> tuple:
+    """(A, σ_A) in uK: the generalized least-squares fit of gap_k = A·shape_k under Σ.
+
+    A = sᵀΣ⁻¹g / sᵀΣ⁻¹s and σ_A² = 1 / sᵀΣ⁻¹s, with Σ the gaps' covariance
+    (`DifferentialSignal.covariance_uK2`): a matched filter for a stated shift
+    curve s, beside the model-free significance. A Σ that cannot be inverted
+    (every σ zero, a noiseless campaign) weighs the fields alike instead, with
+    σ_A² = sᵀΣs / (sᵀs)². A non-finite A or σ_A raises NonFiniteResult.
+    """
+    shape = np.asarray(shape_uK, dtype=float)
+    cov = signal.covariance_uK2
+    try:
+        weights = np.linalg.solve(cov, shape)
+    except np.linalg.LinAlgError:
+        weights = shape
+    with np.errstate(all="ignore"):  # a non-finite result is caught below
+        norm = weights @ shape
+        amplitude = float(weights @ signal.gap_uK / norm)
+        sigma = float(np.sqrt(weights @ cov @ weights) / abs(norm))
+    if not (math.isfinite(amplitude) and math.isfinite(sigma)):
+        raise NonFiniteResult("the template amplitude is not finite")
+    return amplitude, sigma
 
 
 def estimate_sensitivity(repeats, tc0_K: float) -> float:

@@ -104,6 +104,7 @@ def cmd_analyze(run_dir, fit_threshold, include_linear, quiet):
         rn_ohm=config.film.rn_ohm,
         fit_threshold_mT=fit_threshold,
         include_linear=include_linear,
+        config=config,
     )
     out = write_analysis(run_dir, result)
     if not quiet:

@@ -4,12 +4,15 @@ Takes the full set of triplets from a campaign, extracts each sample's
 Tc0 from its own zero-field sweeps and its σ from the scatter of its
 zero-field null pairs, forms drift-corrected shift estimates, fits the
 film parabola on high-field points and evaluates the film-cavity
-differential signal. The film's σ is the campaign's sensitivity.
+differential signal: its gaps, their covariance, the largest z and its
+global p-value. Given the campaign's config, it also fits the stated
+cavity shift curve to the gaps (the template amplitude). The film's σ is
+the campaign's sensitivity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,8 +25,10 @@ from .analysis import (
     drift_corrected_shift,
     extract_tc0,
     fit_parabola,
+    template_amplitude,
 )
 from .errors import InsufficientData
+from .physics import cavity_shift
 
 # Fields qualify as "high-field" for the parabola fit once the bare-film
 # shift exceeds this multiple of the sensitivity, i.e. well clear of the
@@ -38,6 +43,8 @@ class AnalysisResult:
     film_fit: FitResult
     differential: DifferentialSignal
     sensitivity_uK: float  # the film's sample_sigma, in uK
+    # (A, σ_A, stated shift_max_uK) of the cavity template, in uK; None without a config
+    amplitude_uK: tuple | None = None
 
     def film_estimates(self):
         return [e for e in self.estimates if e.kind == "film"]
@@ -102,11 +109,23 @@ def auto_field_threshold(estimates, tc0_K: float, sensitivity_uK: float) -> floa
     return min(thr, mags[2]) if len(mags) >= 3 else 0.0
 
 
+def template_shape(config, fields_mT) -> np.ndarray:
+    """The config's cavity shift curve per uK of shift_max_uK at each nominal field.
+
+    The cavity sees H·(1 + homogeneity), and a thermal campaign scales the
+    shift by its enhancement M.
+    """
+    unit = replace(config.cavity, shift_max_uK=1.0)
+    return np.array([cavity_shift(unit, h * (1.0 + config.homogeneity), config.enhancement)
+                     for h in fields_mT])
+
+
 def analyze_campaign(
     triplets,
     rn_ohm: float,
     fit_threshold_mT: float | None = None,
     include_linear: bool = False,
+    config=None,
 ) -> AnalysisResult:
     """Run the full estimation pipeline on a campaign's triplets.
 
@@ -116,6 +135,8 @@ def analyze_campaign(
     of several faulty sweeps, the first zero-field sweep in that order is
     named, or else the first in-field one. Each estimate carries its sample's
     `sample_sigma`; the film's, in uK, is the sensitivity and sets the auto threshold.
+    With the campaign's `config`, the result carries the template amplitude of
+    its stated cavity shift curve (`template_shape`, `analysis.template_amplitude`).
     """
     triplets = sorted(triplets, key=lambda t: (t.sample_id, t.field_mT, t.replication))
     sample_ids = sorted({t.sample_id for t in triplets})
@@ -142,6 +163,10 @@ def analyze_campaign(
 
     film_fit = fit_parabola(film_est, fit_threshold_mT, include_linear)
     diff = differential_signal(film_fit, cav_est, film_tc0)
+    amplitude = None
+    if config is not None:
+        amplitude = (*template_amplitude(diff, template_shape(config, diff.field_mT)),
+                     config.cavity.shift_max_uK)
 
     return AnalysisResult(
         tc0_K=tc0,
@@ -149,4 +174,5 @@ def analyze_campaign(
         film_fit=film_fit,
         differential=diff,
         sensitivity_uK=sensitivity,
+        amplitude_uK=amplitude,
     )

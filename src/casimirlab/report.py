@@ -45,7 +45,7 @@ FITS_COLUMNS = (
     "field_threshold_mT",
     "include_linear",
 )
-DIFFERENTIAL_COLUMNS = ("field_mT", "gap_uK", "sigma_uK")
+DIFFERENTIAL_COLUMNS = ("field_mT", "gap_uK", "sigma_uK", "z")
 
 
 def write_analysis(run_dir, result: AnalysisResult) -> Path:
@@ -94,7 +94,8 @@ def write_analysis(run_dir, result: AnalysisResult) -> Path:
     write_csv(
         out / "differential.csv",
         DIFFERENTIAL_COLUMNS,
-        zip(diff.field_mT.tolist(), diff.gap_uK.tolist(), diff.sigma_uK.tolist()),
+        zip(diff.field_mT.tolist(), diff.gap_uK.tolist(), diff.sigma_uK.tolist(),
+            diff.z.tolist()),
     )
 
     summary = [
@@ -105,7 +106,15 @@ def write_analysis(run_dir, result: AnalysisResult) -> Path:
         f"sensitivity: {result.sensitivity_uK:.3f} uK",
         f"max gap: {diff.max_gap_uK:.3f} +- {diff.sigma_at_max_uK:.3f} uK "
         f"at {diff.field_at_max_mT:.3f} mT",
+        f"max z: {diff.significance:.3f} at {diff.field_mT[np.argmax(diff.z)]:.3f} mT, "
+        f"p_global = {diff.p_global:.4g}",
     ]
+    if result.amplitude_uK is not None:
+        amplitude, sigma, stated = result.amplitude_uK
+        with np.errstate(all="ignore"):  # a zero σ_A gives an infinite or NaN pull
+            pull = np.divide(amplitude - stated, sigma)
+        summary.append(f"amplitude: {amplitude:.3f} +- {sigma:.3f} uK, "
+                       f"pull {pull:+.3f} against shift_max_uK = {stated:.17g}")
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
     return out
 

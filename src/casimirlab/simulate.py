@@ -5,11 +5,10 @@ thermometry drift, schedules them into (zero-field, field, zero-field)
 triplets and runs multi-field, multi-replication campaigns for the bare
 film and the in-cavity film.
 
-All randomness descends from a single master seed. Each sweep draws from
-its own generator whose sub-seed is a deterministic hash of
-(master seed, sample id, applied field, sweep start time), so a campaign
-can be generated in any order with bit-identical results. `run_campaign`
-builds every sweep's generator state once, in one batch, equal to `sweep_rng`'s.
+All randomness descends from a single master seed. A campaign draws
+every sweep's noise from one generator, np.random.default_rng(seed), in
+schedule order, so a campaign is a pure function of its config; a sweep
+or triplet simulated alone draws from a fresh generator of that seed.
 
 A sweep is a noiseless ramp (the time grid, the true-temperature grid and
 the model resistance on it) plus its own drift and noise. The zero-field
@@ -21,8 +20,6 @@ and resistance arrays.
 from __future__ import annotations
 
 import functools
-import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -182,72 +179,6 @@ class CampaignConfig:
         return thermal_enhancement(self.film.tc0_K, self.thermal)
 
 
-def _sweep_key(sample_id: str, field_mT: float, t_start_s: float) -> bytes:
-    return f"{sample_id}|{field_mT:.9g}|{t_start_s:.3f}".encode()
-
-
-def _sub_seed(key: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
-
-
-def sweep_rng(seed: int, sample_id: str, field_mT: float, t_start_s: float):
-    """Per-sweep generator, a pure function of its identifying tuple.
-
-    The reference that `run_campaign`'s batch seeding (`_batch_rng`) reproduces.
-    """
-    sub = _sub_seed(_sweep_key(sample_id, field_mT, t_start_s))
-    return np.random.default_rng(np.random.SeedSequence([int(seed), sub]))
-
-
-def _batch_rng(seed: int, sweeps):
-    """sweep_rng for each (sample_id, field_mT, t_start_s) of `sweeps`, seeded in one batch.
-
-    The returned function takes sweep_rng's arguments (the seed is the
-    batch's) and loads the sweep's state, built once from its bytes key and
-    looked up by its tuple, into one reused Generator. Tuples merge only
-    fields of 0.0 and -0.0 at one sample and start time, and no schedule
-    starts two sweeps of one sample together. The batch repeats numpy's
-    seeding, fixed by its stream-compatibility policy: SeedSequence hashes
-    the words of [seed, sub] (at most four, a missing one as a zero) into a
-    pool of four and draws from it PCG64's 128-bit seed and stream, from
-    which PCG64 sets its state in two LCG steps. Constants stay Python ints,
-    as numpy scalars warn on overflow.
-    """
-    subs = np.array([_sub_seed(_sweep_key(*sweep)) for sweep in sweeps], dtype=np.uint64)
-    seed, mask32 = int(seed), 0xFFFFFFFF
-    words = [seed & mask32] + ([seed >> 32] if seed >> 32 else []) + [subs & mask32, subs >> 32]
-
-    def hasher(const, mult):
-        def hashmix(value):
-            nonlocal const
-            value = value ^ const
-            const = const * mult & mask32
-            value = value * const
-            return value ^ value >> 16
-        return hashmix
-
-    hashmix = hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(np.broadcast_to(w, subs.shape).astype(np.uint32))
-            for w in words + [0] * (4 - len(words))]
-    for src, dst in itertools.permutations(range(4), 2):
-        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])
-        pool[dst] = mixed ^ mixed >> 16
-    draw = hasher(0x8B51F9DD, 0x58F38DED)
-    drawn = np.array([draw(pool[i % 4]) for i in range(8)], dtype=np.uint64)
-    mult, mask128, states = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1, {}
-    for sweep, s_hi, s_lo, i_hi, i_lo in zip(sweeps, *(drawn[::2] | drawn[1::2] << 32).tolist()):
-        inc = (i_hi << 65 | i_lo << 1 | 1) & mask128
-        states[sweep] = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
-            "state": ((inc + (s_hi << 64 | s_lo)) * mult + inc) & mask128, "inc": inc}}
-    generator = np.random.default_rng(0)
-
-    def rng(_seed, *sweep):
-        generator.bit_generator.state = states[sweep]
-        return generator
-
-    return rng
-
-
 def _ramp(sample: FilmParams | CavityParams, h_mT: float, duration_s: float, n: int,
           enhancement: float):
     """The noiseless part of a sweep as read-only (tau, t_true, r_meas) arrays."""
@@ -272,9 +203,9 @@ def generate_sweep(
     n: int,
     sample_id: str | None = None,
     enhancement: float = 1.0,
+    generator: np.random.Generator | None = None,
     *,
     ramp=_ramp,
-    rng=sweep_rng,
 ) -> SweepTrace:
     """Simulate one transition sweep.
 
@@ -284,9 +215,10 @@ def generate_sweep(
     `sample` gives a "film" sweep and a CavityParams a "cavity" sweep. The
     sweep's tau_s and r_meas_ohm are read-only.
 
-    `ramp` and `rng` are how `run_campaign` hands down its per-campaign memo
-    of the noiseless ramp and its batch-seeded stand-in for `sweep_rng`;
-    they are not tuning options, and other callers leave them.
+    The noise is the next n normals of `generator`; without one, of
+    np.random.default_rng(noise.seed). `ramp` is how `run_campaign` hands
+    down its per-campaign memo of the noiseless ramp; it is not a tuning
+    option, and other callers leave it.
     """
     if n < MIN_SWEEP_POINTS:
         raise ConfigError(f"sweep needs >= {MIN_SWEEP_POINTS} points, got {n}")
@@ -295,9 +227,10 @@ def generate_sweep(
     kind = "cavity" if isinstance(sample, CavityParams) else "film"
     if sample_id is None:
         sample_id = kind
+    if generator is None:
+        generator = np.random.default_rng(noise.seed)
 
     tau, t_true, r_meas = ramp(sample, h_mT, duration_s, n, enhancement)
-    generator = rng(noise.seed, sample_id, h_mT, t_start_s)
     t_meas = t_start_s + tau  # t_true + drift + noise, in place; + and * commute
     t_meas *= noise.drift_uK_per_hr * 1e-6
     t_meas /= 3600.0
@@ -320,32 +253,38 @@ def _triplet_sweeps(config: CampaignConfig, kind: str, h_mT: float, t_start_s: f
                     for i, h in enumerate((0.0, h_applied, 0.0))]
 
 
+def _triplet(config: CampaignConfig, kind: str, h_mT: float, t_start_s: float,
+             replication: int, generator: np.random.Generator, ramp) -> TripletRecord:
+    """The triplet of run_triplet, its pre, mid and post noise drawn in turn from `generator`."""
+    params, sweeps = _triplet_sweeps(config, kind, h_mT, t_start_s)
+    pre, mid, post = (
+        generate_sweep(params, h, config.noise, t, config.sweep_duration_s,
+                       config.points_per_sweep, sample_id, config.enhancement, generator,
+                       ramp=ramp)
+        for sample_id, h, t in sweeps
+    )
+    return TripletRecord(pre, mid, post, h_mT, replication)
+
+
 def run_triplet(
     config: CampaignConfig,
     kind: str,
     h_mT: float,
     t_start_s: float,
     replication: int = 0,
-    *,
-    ramp=_ramp,
-    rng=sweep_rng,
 ) -> TripletRecord:
     """One zero-field / field / zero-field trio at equal time intervals.
 
     Cool-down always happens in zero field, so no flux-trapping state is
     carried between sweeps. The cavity sample sees the nominal field scaled
-    by (1 + homogeneity) to model the residual coil inhomogeneity. `ramp`
-    and `rng` are `run_campaign`'s per-campaign ramp memo and batch-seeded
-    generators, passed on to `generate_sweep`; they are not tuning options.
+    by (1 + homogeneity) to model the residual coil inhomogeneity. The noise
+    of the pre, mid and post sweeps is drawn in turn from
+    np.random.default_rng(config.noise.seed): two calls with one seed draw
+    the same noise, and triplets meant to be independent come from one
+    `run_campaign` or from different seeds.
     """
-    params, sweeps = _triplet_sweeps(config, kind, h_mT, t_start_s)
-    pre, mid, post = (
-        generate_sweep(params, h, config.noise, t, config.sweep_duration_s,
-                       config.points_per_sweep, sample_id=sample_id,
-                       enhancement=config.enhancement, ramp=ramp, rng=rng)
-        for sample_id, h, t in sweeps
-    )
-    return TripletRecord(pre, mid, post, h_mT, replication)
+    return _triplet(config, kind, h_mT, t_start_s, replication,
+                    np.random.default_rng(config.noise.seed), _ramp)
 
 
 def campaign_schedule(config: CampaignConfig):
@@ -371,14 +310,13 @@ def run_campaign(config: CampaignConfig):
     """Generate the full dataset: one film and one cavity triplet per
     (field, replication), in schedule order.
 
+    Every sweep's noise comes from one np.random.default_rng(config.noise.seed),
+    drawn sweep by sweep in schedule order (pre, mid, post of each triplet).
     Each distinct noiseless ramp is computed once per call and shared by
     the sweeps that repeat it (every zero-field sweep of a sample, every
-    replication of a field); the memo lives only as long as this call. The
-    sweeps' generator states are derived in one batch (`_batch_rng`).
+    replication of a field); the memo lives only as long as this call.
     """
-    tasks = campaign_schedule(config)
+    generator = np.random.default_rng(config.noise.seed)
     ramp = functools.cache(_ramp)
-    rng = _batch_rng(config.noise.seed, [
-        sweep for kind, h, _, t0 in tasks for sweep in _triplet_sweeps(config, kind, h, t0)[1]])
-    return [run_triplet(config, kind, h, t0, rep, ramp=ramp, rng=rng)
-            for kind, h, rep, t0 in tasks]
+    return [_triplet(config, kind, h, t0, rep, generator, ramp)
+            for kind, h, rep, t0 in campaign_schedule(config)]

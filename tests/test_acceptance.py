@@ -182,24 +182,31 @@ def test_criterion_07_sensitivity():
 
 
 def test_criterion_08_differential_signal():
+    # the signal campaign must be significant after the look-elsewhere correction and its
+    # template amplitude must agree with the configured plateau; the null campaign must
+    # be neither. The largest gap, biased upward by the maximum over the fields, is shown.
     cfg = default_config(replications=10)
-    res = cl.analyze_campaign(cl.run_campaign(cfg), RN)
-    d = res.differential
+    res = cl.analyze_campaign(cl.run_campaign(cfg), RN, config=cfg)
+    d, (a, sigma_a, stated) = res.differential, res.amplitude_uK
 
     null_cfg = replace(cfg, cavity=replace(cfg.cavity, shift_max_uK=0.0))
-    null = cl.analyze_campaign(cl.run_campaign(null_cfg), RN).differential
+    null_res = cl.analyze_campaign(cl.run_campaign(null_cfg), RN, config=null_cfg)
+    null, (null_a, null_sigma_a, _) = null_res.differential, null_res.amplitude_uK
 
     ok = (
-        5.5 <= d.max_gap_uK <= 8.5
-        and d.significance > 2.0
-        and abs(null.max_gap_uK) <= 2.0 * null.sigma_at_max_uK
+        d.p_global < 0.01
+        and abs(a - stated) / sigma_a < 3.0
+        and null.p_global >= 0.01
+        and abs(null_a) / null_sigma_a < 3.0
     )
     report(
         8,
         "differential cavity signal",
         ok,
-        f"max gap {d.max_gap_uK:.2f} +- {d.sigma_at_max_uK:.2f} uK "
-        f"({d.significance:.1f} sigma), null {null.max_gap_uK:.2f} +- {null.sigma_at_max_uK:.2f} uK",
+        f"p_global {d.p_global:.2g}, amplitude {a:.2f} +- {sigma_a:.2f} uK for {stated:g}; "
+        f"null p_global {null.p_global:.2g}, amplitude {null_a:.2f} +- {null_sigma_a:.2f} uK; "
+        f"max gap {d.max_gap_uK:.2f} +- {d.sigma_at_max_uK:.2f} uK (largest z "
+        f"{d.significance:.1f}), null {null.max_gap_uK:.2f} +- {null.sigma_at_max_uK:.2f} uK",
     )
 
 

@@ -54,7 +54,7 @@ from casimirlab.errors import (
 )
 from casimirlab.physics import transition_midpoint, transition_width_e
 from casimirlab.pipeline import analyze_campaign, sample_sigma, sample_tc0
-from casimirlab.simulate import MIN_SWEEP_POINTS, _ramp
+from casimirlab.simulate import MIN_SWEEP_POINTS
 
 
 def make_trace(t, r, field=0.0, sample_id="s", kind="film", t_start=0.0):
@@ -546,14 +546,29 @@ class TestInvertTrace:
         short = [s for t in run_campaign(cfg) for _, s in t.sweeps()]
         long_triplets = run_campaign(default_config(fields_mT=(2.0, 7.2)))
         long = [s for t in long_triplets for _, s in t.sweeps()]
-        keep = slice(0, int(np.argmax(long[1].r_meas_ohm > 0.8 * 300.0)) + 1)
-        cut = [SweepTrace(t.mid.sample_id, t.mid.kind, t.mid.field_mT, t.mid.t_start_s,
-                          t.mid.tau_s[keep], t.mid.t_meas_K[keep], t.mid.r_meas_ohm[keep])
-               for t in long_triplets]
+        levels = default_levels(300.0)
+
+        def cut_at(keep):
+            return [SweepTrace(t.mid.sample_id, t.mid.kind, t.mid.field_mT, t.mid.t_start_s,
+                               t.mid.tau_s[:keep], t.mid.t_meas_K[:keep], t.mid.r_meas_ohm[:keep])
+                    for t in long_triplets]
+
+        def spans(sweeps):
+            try:
+                invert_trace(sweeps, levels, 300.0)
+            except IncompleteTransition:
+                return False
+            return True
+
+        # the shortest cut past the first reading above the top level at which every cut
+        # sweep still spans the levels: how far past depends on the noise, and one point
+        # less leaves some cut sweep short of the top level, so its last knots are read
+        first = int(np.argmax(long[1].r_meas_ohm > 0.8 * 300.0)) + 1
+        keep = next(k for k in range(first, len(long[1].r_meas_ohm)) if spans(cut_at(k)))
+        cut = cut_at(keep)
         sweeps = short[:7] + cut[:2] + short[7:30] + long + cut[2:] + short[30:]
         assert len({len(s.t_meas_K) for s in sweeps}) == 3
         assert sum(len(s.t_meas_K) == 300 for s in sweeps) * 300 > analysis.INVERSION_CHUNK_POINTS
-        levels = default_levels(300.0)
         temps = invert_trace(sweeps, levels, 300.0)
         assert temps.shape == (len(sweeps), len(levels))
         expected = [invert_one_by_one(s, levels, 300.0) for s in sweeps]
@@ -1159,13 +1174,11 @@ def test_fit_overflow_near_float_limit_rejected(include_linear):
 
 
 def film_triplets(points, field, count, seed):
-    """count film triplets at one field, back to back, sharing one noiseless ramp per field."""
-    cfg = default_config(fields_mT=(field,), points_per_sweep=points,
+    """count film triplets at one field, back to back: the film half of one campaign of
+    count replications, so that every sweep draws its own noise from the campaign's stream."""
+    cfg = default_config(fields_mT=(field,), points_per_sweep=points, replications=count,
                          noise=NoiseModel(DEFAULT_SIGMA_FAST_UK, DEFAULT_DRIFT_UK_PER_HR, seed))
-    ramp = functools.cache(_ramp)
-    slot = 3.0 * cfg.sweep_duration_s
-    return cfg, [run_triplet(cfg, "film", field, slot * rep, rep, ramp=ramp)
-                 for rep in range(count)]
+    return cfg, [t for t in run_campaign(cfg) if t.kind == "film"]
 
 
 def null_campaign(seed):
@@ -1198,6 +1211,86 @@ class TestSigmaCalibration:
             d = analyze_campaign(run_campaign(cfg), rn_ohm=cfg.film.rn_ohm).differential
             z += (d.gap_uK / d.sigma_uK).tolist()
         assert 0.9 <= np.std(z) <= 1.1
+
+
+class TestGlobalPValue:
+    """p_global, the chance that a campaign without cavity shift reads a significance as large."""
+
+    @pytest.mark.parametrize("include_linear", [False, True], ids=["rank 1", "rank 2"])
+    def test_quadrature_matches_monte_carlo(self, include_linear):
+        # 2^16 null campaigns' gaps drawn from N(0, Σ); the fraction whose largest z reaches
+        # the significance, against the quadrature, within 3 standard errors
+        cfg = null_campaign(0)
+        d = analyze_campaign(run_campaign(cfg), cfg.film.rn_ohm,
+                             include_linear=include_linear).differential
+        assert d.film_factor_uK.shape == (12, 2 if include_linear else 1)
+        draws = 2**16
+        gaps = np.random.default_rng(2024).standard_normal((draws, 12)) @ np.linalg.cholesky(
+            d.covariance_uK2).T
+        frac = np.mean((gaps / d.sigma_uK).max(axis=1) >= d.significance)
+        assert abs(d.p_global - frac) < 3.0 * math.sqrt(frac * (1.0 - frac) / draws)
+
+    def test_null_campaigns_calibrated(self):
+        # p_global of null campaigns is uniform: the fractions below 0.1 and 0.5 lie within
+        # 2 binomial standard errors of 0.1 and 0.5
+        p = np.array([analyze_campaign(run_campaign(cfg := null_campaign(seed)),
+                                       cfg.film.rn_ohm).differential.p_global
+                      for seed in range(90)])
+        for level in (0.1, 0.5):
+            assert abs(np.mean(p < level) - level) <= 2.0 * math.sqrt(level * (1 - level) / 90)
+
+    @pytest.mark.parametrize("z", [0.5, 3.0, 8.0, 30.0])
+    def test_independent_gaps_keep_the_digits_of_a_tiny_p(self, z):
+        # without a shared film term, p = 1 - Φ(z)^k exactly; at z = 30, q ≈ 5e-198
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        sigma = np.array([0.5, 1.0, 2.0, 4.0])
+        gap = z * sigma * np.array([1.0, 0.25, -1.0, 0.5])
+        d = analysis.DifferentialSignal(np.arange(1.0, 5.0), gap, sigma, float(gap[0]), 1.0,
+                                        float(sigma[0]))
+        assert d.significance == z
+        reference = 1 - (1 - mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2)) / 2) ** len(sigma)
+        assert d.p_global == pytest.approx(float(reference), rel=1e-12)
+
+    def test_zero_sigma(self):
+        # a positive gap without noise is infinitely significant; no gap above zero, never
+        d = analysis.DifferentialSignal(np.array([1.0, 2.0]), np.array([0.0, 1.0]),
+                                        np.zeros(2), 1.0, 2.0, 0.0)
+        assert (d.significance, d.p_global) == (math.inf, 0.0)
+        flat = dataclasses.replace(d, gap_uK=np.array([0.0, -1.0]), film_factor_uK=None)
+        assert (flat.significance, flat.p_global) == (0.0, 1.0)
+
+
+class TestTemplateAmplitude:
+    """The generalized least-squares amplitude of a stated cavity shift curve."""
+
+    @staticmethod
+    def signal(gap, factor, cavity_var):
+        sigma = np.sqrt((factor ** 2).sum(axis=1) + cavity_var)
+        return analysis.DifferentialSignal(np.arange(1.0, len(gap) + 1), gap, sigma,
+                                           float(gap.max()), 1.0, 1.0, factor, cavity_var)
+
+    def test_recovers_an_exact_template(self):
+        rng = np.random.default_rng(3)
+        shape = rng.uniform(0.2, 1.0, 8)
+        d = self.signal(5.0 * shape, rng.normal(0.0, 1.0, (8, 2)), rng.uniform(0.5, 2.0, 8))
+        amplitude, sigma = analysis.template_amplitude(d, shape)
+        inverse = np.linalg.inv(d.covariance_uK2)
+        assert amplitude == pytest.approx(5.0, rel=1e-12)
+        assert sigma == pytest.approx(1.0 / math.sqrt(shape @ inverse @ shape), rel=1e-12)
+
+    def test_singular_covariance_weighs_fields_alike(self):
+        d = self.signal(np.array([1.0, 2.0, 4.0]), np.zeros((3, 1)), np.zeros(3))
+        shape = np.array([1.0, 1.0, 2.0])
+        assert analysis.template_amplitude(d, shape) == (11.0 / 6.0, 0.0)
+
+    def test_noiseless_campaign_recovers_stated_plateau(self):
+        cfg = default_config(noise=NoiseModel(0.0, DEFAULT_DRIFT_UK_PER_HR, 0))
+        res = analyze_campaign(run_campaign(cfg), cfg.film.rn_ohm, config=cfg)
+        amplitude, _, stated = res.amplitude_uK
+        assert stated == 7.0
+        assert amplitude == pytest.approx(7.0, abs=0.05)
+        assert analyze_campaign(run_campaign(cfg), cfg.film.rn_ohm).amplitude_uK is None
 
 
 # A fresh interpreter inverts the 216 sweeps of each of 4 null campaigns, 20 times once warm,

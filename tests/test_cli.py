@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -787,7 +790,9 @@ class TestMalformedInput:
         np.save(run_dir / "sweeps.npy", data)
         result = runner.invoke(main, ["analyze", str(run_dir)])
         assert result.exit_code == 3, result.output
-        assert "data error: Tc0 must be positive and finite, got -1.4" in result.stderr
+        got = re.search(r"data error: Tc0 must be positive and finite, got (\S+) K", result.stderr)
+        # 1.5 K less 3 K, moved by drift and noise of some µK
+        assert abs(float(got.group(1)) + 1.5) < 0.05
         assert not (run_dir / "analysis").exists()
 
     def test_rows_follow_the_manifest(self, runner, run_dir):
@@ -1074,6 +1079,23 @@ class TestAnalyzeCommand:
         assert len(shifts) == 1 + 2 * 5 * 3  # header + samples*fields*reps
         table = read_csv(analysis / "shifts.csv", SHIFTS_COLUMNS, ("sample_id", "kind"))
         assert np.all(table["n_levels"] == 50)
+        # differential.csv: z = gap/σ per field; summary.txt: the largest z, its field and
+        # p_global, then the template amplitude with its pull against the stated plateau
+        header = (analysis / "differential.csv").read_text().splitlines()[0]
+        assert header == "field_mT,gap_uK,sigma_uK,z"
+        diff = read_csv(analysis / "differential.csv", DIFFERENTIAL_COLUMNS)
+        np.testing.assert_array_equal(diff["z"], diff["gap_uK"] / diff["sigma_uK"])
+        lines = (analysis / "summary.txt").read_text().splitlines()
+        imax = int(np.argmax(diff["z"]))
+        z, field, p = re.fullmatch(r"max z: (\S+) at (\S+) mT, p_global = (\S+)",
+                                   lines[-2]).groups()
+        assert (float(z), float(field)) == (round(diff["z"][imax], 3), diff["field_mT"][imax])
+        assert 0.0 <= float(p) <= 1.0
+        a, sigma, pull, stated = re.fullmatch(
+            r"amplitude: (\S+) \+- (\S+) uK, pull (\S+) against shift_max_uK = (\S+)",
+            lines[-1]).groups()
+        assert float(sigma) > 0 and float(stated) == 7.0
+        assert float(pull) == pytest.approx((float(a) - 7.0) / float(sigma), abs=0.01)
 
     def test_zero_field_shifts_near_zero(self, runner, tmp_path):
         cfg = tmp_path / "c.ini"
@@ -1408,3 +1430,24 @@ class TestReportCommand:
         assert rows[0] == "kind,field_mT,shift_uK,sigma_uK"
         assert any(row.startswith("cavity,") for row in rows[1:])
 
+
+IMPORT_PROBE = """
+import sys
+import numpy as np
+import casimirlab.cli
+from casimirlab.analysis import DifferentialSignal
+print(sorted({"hashlib", "numpy.polynomial"} & set(sys.modules)))
+DifferentialSignal(np.arange(2.0), np.ones(2), np.ones(2), 1.0, 0.0, 1.0).p_global
+print(sorted({"numpy.polynomial"} & set(sys.modules)))
+"""
+
+
+def test_cli_import_loads_neither_hashlib_nor_numpy_polynomial():
+    # start-up: the campaign seeds with numpy alone, and the p-value's quadrature nodes come
+    # from numpy.linalg, not numpy.polynomial, even once a p-value is computed
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "[]"]

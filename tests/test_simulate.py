@@ -2,12 +2,11 @@
 
 import dataclasses
 import hashlib
-import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimirlab import (
@@ -24,7 +23,7 @@ from casimirlab import (
 from casimirlab.config import default_config, default_film
 from casimirlab.errors import ConfigError
 from casimirlab.physics import transition_midpoint, transition_width_e
-from casimirlab.simulate import _batch_rng, campaign_schedule, sweep_rng
+from casimirlab.simulate import _ramp, _triplet, campaign_schedule
 from test_analysis import null_campaign
 
 
@@ -62,14 +61,6 @@ class TestGenerateSweep:
         b = generate_sweep(film, 3.0, noise, 0.0, 1200.0, 300, sample_id="s")
         assert np.array_equal(a.t_meas_K, b.t_meas_K)
         assert np.array_equal(a.r_meas_ohm, b.r_meas_ohm)
-
-    def test_different_subseed_inputs_decorrelate(self, film):
-        noise = NoiseModel(sigma_fast_uK=25.0, seed=99)
-        a = generate_sweep(film, 3.0, noise, 0.0, 1200.0, 300, sample_id="s")
-        b = generate_sweep(film, 3.0, noise, 0.0, 1200.0, 300, sample_id="t")
-        c = generate_sweep(film, 3.0, noise, 60.0, 1200.0, 300, sample_id="s")
-        assert not np.array_equal(a.t_meas_K, b.t_meas_K)
-        assert not np.array_equal(a.t_meas_K[:50], c.t_meas_K[:50])
 
     def test_point_count_floor(self, film, quiet_noise):
         with pytest.raises(ConfigError):
@@ -181,33 +172,6 @@ class TestRunCampaign:
         starts = [t0 for _, _, _, t0 in campaign_schedule(cfg)]
         assert starts == sorted(starts)
 
-    def test_order_independent_results(self):
-        # run_campaign shares ramps through its memo and seeds its sweeps in
-        # one batch; run_triplet alone computes each sweep's ramp afresh and
-        # seeds it through sweep_rng: the bytes must agree
-        campaigns = (
-            ((1.0, 4.0), {}),
-            # 0.0 and -0.0 are one key of run_campaign's ramp memo
-            ((-0.0, 0.0, -7.2, 7.2), {}),
-            ((1.0, 4.0), {"thermal": ThermalEnvironment(), "homogeneity": 3e-3}),
-        )
-        for seed, (fields, extra) in itertools.product((1, 0, 2**32 + 5, 2**64 - 1), campaigns):
-            noise = NoiseModel(sigma_fast_uK=30.0, drift_uK_per_hr=-50.0, seed=seed)
-            cfg = default_config(noise=noise, fields_mT=fields, replications=2,
-                                 points_per_sweep=100, **extra)
-            forward = run_campaign(cfg)
-            backward = [
-                run_triplet(cfg, kind, h, t0, rep)
-                for kind, h, rep, t0 in reversed(campaign_schedule(cfg))
-            ][::-1]
-            assert len(forward) == len(backward) == 4 * len(fields)
-            for a, b in zip(forward, backward):
-                assert a.kind == b.kind and a.field_mT == b.field_mT
-                for (_, ta), (_, tb) in zip(a.sweeps(), b.sweeps()):
-                    assert math.copysign(1, ta.field_mT) == math.copysign(1, tb.field_mT)
-                    for name in ("tau_s", "t_meas_K", "r_meas_ohm"):
-                        assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes()
-
     def test_each_distinct_ramp_computed_once_per_campaign(self, quiet_noise, monkeypatch):
         calls = []
 
@@ -231,22 +195,22 @@ class TestRunCampaign:
                     array[0] = 1.0
 
     def test_builds_no_seed_sequence_per_sweep(self, monkeypatch):
+        # one generator per campaign, and one per triplet simulated alone
         built = []
 
         def counting(*args, **kwargs):
             built.append(args)
-            return seed_sequence(*args, **kwargs)
+            return default_rng(*args, **kwargs)
 
-        seed_sequence = np.random.SeedSequence
-        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", counting)
         noise = NoiseModel(sigma_fast_uK=30.0, seed=7)
         cfg = default_config(noise=noise, fields_mT=(1.0, 4.0), replications=2,
                              points_per_sweep=100)
         trips = run_campaign(cfg)
-        assert len(trips) * 3 == 24 and built == []
-        # the patch sees sweep_rng, which a sweep generated alone still uses
+        assert len(trips) * 3 == 24 and built == [(7,)]
         run_triplet(cfg, "film", 1.0, 0.0)
-        assert len(built) == 3
+        assert built == [(7,), (7,)]
 
     def test_cavity_film_must_be_campaign_film(self, film):
         # the manifest snapshot stores one film, which the cavity sweeps would
@@ -314,61 +278,66 @@ def test_records_reject_non_finite_values(record, key, value):
         dataclasses.replace(base, **{key: value})
 
 
-class TestSubSeeding:
-    @given(seed=st.integers(0, 2**64 - 1),
-           subs=st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 2**32 - 1),
-                         min_size=1, max_size=8))
-    @example(seed=0, subs=[0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-    @example(seed=5, subs=[7, 2**40 + 3])
-    @example(seed=2**32 + 5, subs=[9, 2**63])
-    @example(seed=2**64 - 1, subs=[2**32 - 1, 2**64 - 1])
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    def test_batch_states_equal_seed_sequence(self, seed, subs):
-        # sub-keys are set by hand, so that high words of 0 are covered
-        by_key = {f"k{i}|0|0.000".encode(): sub for i, sub in enumerate(subs)}
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulate, "_sub_seed", by_key.__getitem__)
-            rng = _batch_rng(seed, [(f"k{i}", 0.0, 0.0) for i in range(len(subs))])
-        for i, sub in reversed(list(enumerate(subs))):
-            batch = rng(seed, f"k{i}", 0.0, 0.0)
-            reference = np.random.default_rng(np.random.SeedSequence([seed, sub]))
-            assert batch.bit_generator.state == reference.bit_generator.state
-            assert batch.normal(size=300).tobytes() == reference.normal(size=300).tobytes()
-
-    def test_rng_is_pure_function(self):
-        a = sweep_rng(5, "x", 7.2, 100.0).normal(size=4)
-        b = sweep_rng(5, "x", 7.2, 100.0).normal(size=4)
-        assert np.array_equal(a, b)
-
-    def test_rng_sensitive_to_every_component(self):
-        base = sweep_rng(5, "x", 7.2, 100.0).normal(size=4)
-        for rng in (
-            sweep_rng(6, "x", 7.2, 100.0),
-            sweep_rng(5, "y", 7.2, 100.0),
-            sweep_rng(5, "x", 7.3, 100.0),
-            sweep_rng(5, "x", 7.2, 101.0),
-        ):
-            assert not np.array_equal(base, rng.normal(size=4))
+def sweep_noise(config, trip):
+    """Each sweep's noise: its readings less its true temperatures and its drift."""
+    params = config.cavity if trip.kind == "cavity" else config.film
+    noise = []
+    for _, sweep in trip.sweeps():
+        tau, t_true, _ = _ramp(params, sweep.field_mT, config.sweep_duration_s,
+                               config.points_per_sweep, config.enhancement)
+        drift = config.noise.drift_uK_per_hr * 1e-6 * (sweep.t_start_s + tau) / 3600.0
+        noise.append(sweep.t_meas_K - t_true - drift)
+    return noise
 
 
 class TestCampaignStreams:
-    """run_campaign's batch seeding and in-place readings keep every noise stream."""
+    """run_campaign draws every sweep's noise from one generator of the config's seed."""
 
     # sha256 of every sweep's t_meas_K bytes, in campaign order, of the
     # null-scan campaigns (perfbench/configs.null_config) at seeds 0, 1, 2**64 - 1
-    NULL_STREAMS_SHA256 = "a92284846abc4a4b67312c335223612029a8dbfb229aed1769288ac11c169bdc"
+    NULL_STREAMS_SHA256 = "b11274a58e301c769311cb072551e309e4bc23658cbd1a8b8c9b6e5b9c6e4a65"
 
-    def test_formats_each_sweep_key_once(self, monkeypatch):
-        sweep_key, keys = simulate._sweep_key, []
+    def test_campaign_is_pure_function_of_config(self):
+        cfg = null_campaign(5)
+        first, again = run_campaign(cfg), run_campaign(dataclasses.replace(cfg))
+        other = run_campaign(null_campaign(6))
+        assert len(first) == len(again) == len(other) == 72
+        for a, b, c in zip(first, again, other):
+            for (_, ta), (_, tb), (_, tc) in zip(a.sweeps(), b.sweeps(), c.sweeps()):
+                assert (ta.sample_id, ta.field_mT, ta.t_start_s) == (tb.sample_id, tb.field_mT,
+                                                                     tb.t_start_s)
+                for name in ("tau_s", "t_meas_K", "r_meas_ohm"):
+                    assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes()
+                # another seed moves every sweep's noise
+                assert not np.any(ta.t_meas_K == tc.t_meas_K)
 
-        def counting(*sweep):
-            keys.append(sweep)
-            return sweep_key(*sweep)
+    def test_film_and_cavity_of_a_slot_draw_different_noise(self):
+        # both triplets of a slot share their start times; at zero field their ramps agree
+        noise = NoiseModel(sigma_fast_uK=30.0, drift_uK_per_hr=-50.0, seed=3)
+        cfg = default_config(noise=noise, fields_mT=(0.0, 4.0), replications=2,
+                             points_per_sweep=100)
+        trips = run_campaign(cfg)
+        noises = [n for trip in trips for n in sweep_noise(cfg, trip)]
+        # every sweep of the campaign draws its own noise, of the configured size
+        assert len({n.tobytes() for n in noises}) == len(noises) == 24
+        assert 0.8 < np.std(noises) / 30e-6 < 1.2
+        for film, cavity in zip(trips[0::2], trips[1::2]):
+            assert (film.kind, cavity.kind) == ("film", "cavity")
+            starts = [[s.t_start_s for _, s in trip.sweeps()] for trip in (film, cavity)]
+            assert starts[0] == starts[1]
+            for f, c in zip(sweep_noise(cfg, film), sweep_noise(cfg, cavity)):
+                assert abs(np.corrcoef(f, c)[0, 1]) < 0.4
 
-        monkeypatch.setattr(simulate, "_sweep_key", counting)
+    def test_builds_triplet_sweeps_once(self, monkeypatch):
+        triplet_sweeps, calls = simulate._triplet_sweeps, []
+
+        def counting(*args):
+            calls.append(args)
+            return triplet_sweeps(*args)
+
+        monkeypatch.setattr(simulate, "_triplet_sweeps", counting)
         trips = run_campaign(null_campaign(0))
-        assert len(keys) == 3 * len(trips) == 216
-        assert len(set(keys)) == 216
+        assert len(calls) == len(trips) == 72
 
     def test_null_scan_streams_digest(self):
         digest = hashlib.sha256()
@@ -386,26 +355,36 @@ class TestCampaignStreams:
            seed=st.integers(0, 2**64 - 1))
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_readings_equal_reference_sum(self, drift, sigma, t_start_s, h_mT, n, seed):
+        # a sweep generated alone draws from a fresh generator of the seed
         film = default_film()
         noise = NoiseModel(sigma_fast_uK=sigma, drift_uK_per_hr=drift, seed=seed)
         trace = generate_sweep(film, h_mT, noise, t_start_s, 300.0, n, sample_id="x")
-        tau, t_true, _ = simulate._ramp(film, h_mT, 300.0, n, 1.0)
+        tau, t_true, _ = _ramp(film, h_mT, 300.0, n, 1.0)
         drift_K = drift * 1e-6 * (t_start_s + tau) / 3600.0
-        noise_K = sweep_rng(seed, "x", h_mT, t_start_s).normal(0.0, sigma * 1e-6, n)
+        noise_K = np.random.default_rng(seed).normal(0.0, sigma * 1e-6, n)
         assert trace.t_meas_K.tobytes() == (t_true + drift_K + noise_K).tobytes()
 
     def test_negative_zero_field_campaign_equals_one_by_one(self):
-        noise = NoiseModel(sigma_fast_uK=30.0, drift_uK_per_hr=-50.0, seed=11)
-        cfg = default_config(noise=noise, fields_mT=(-0.0, 1.0), replications=2,
-                             points_per_sweep=100)
-        campaign = run_campaign(cfg)
-        one_by_one = [run_triplet(cfg, kind, h, t0, rep)
-                      for kind, h, rep, t0 in campaign_schedule(cfg)]
-        assert len(campaign) == len(one_by_one) == 8
-        assert math.copysign(1, campaign[0].mid.field_mT) == -1
-        for a, b in zip(campaign, one_by_one):
-            for (_, ta), (_, tb) in zip(a.sweeps(), b.sweeps()):
-                assert (ta.sample_id, ta.t_start_s) == (tb.sample_id, tb.t_start_s)
-                assert math.copysign(1, ta.field_mT) == math.copysign(1, tb.field_mT)
-                for name in ("tau_s", "t_meas_K", "r_meas_ohm"):
-                    assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes()
+        # run_campaign's ramp memo takes 0.0 and -0.0 as one key: its triplets equal those
+        # built one by one, each ramp computed afresh, from one generator in schedule order
+        for fields, extra in (((-0.0, 1.0), {}),
+                              ((1.0, 4.0), {"thermal": ThermalEnvironment(), "homogeneity": 3e-3})):
+            noise = NoiseModel(sigma_fast_uK=30.0, drift_uK_per_hr=-50.0, seed=11)
+            cfg = default_config(noise=noise, fields_mT=fields, replications=2,
+                                 points_per_sweep=100, **extra)
+            campaign = run_campaign(cfg)
+            generator = np.random.default_rng(11)
+            one_by_one = [_triplet(cfg, kind, h, t0, rep, generator, _ramp)
+                          for kind, h, rep, t0 in campaign_schedule(cfg)]
+            assert len(campaign) == len(one_by_one) == 8
+            assert math.copysign(1, campaign[0].mid.field_mT) == math.copysign(1, fields[0])
+            # run_triplet alone draws as the campaign's first triplet does
+            alone = run_triplet(cfg, "film", fields[0], 0.0)
+            for a, b in zip(campaign, one_by_one):
+                for (_, ta), (_, tb) in zip(a.sweeps(), b.sweeps()):
+                    assert (ta.sample_id, ta.t_start_s) == (tb.sample_id, tb.t_start_s)
+                    assert math.copysign(1, ta.field_mT) == math.copysign(1, tb.field_mT)
+                    for name in ("tau_s", "t_meas_K", "r_meas_ohm"):
+                        assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes()
+            for (_, ta), (_, tb) in zip(campaign[0].sweeps(), alone.sweeps()):
+                assert ta.t_meas_K.tobytes() == tb.t_meas_K.tobytes()
