@@ -117,8 +117,8 @@ class DifferentialSignal:
     max_gap_uK, field_at_max_mT and sigma_at_max_uK are those of the largest gap. The
     gaps' covariance is Σ = L Lᵀ + diag(v): the film fit's error, which every field
     shares, enters as L = film_factor_uK (one column per fitted coefficient), and each
-    cavity mean's own variance as v = cavity_var_uK2; sigma_uK is √diag(Σ). A record
-    built without them has independent gaps (L has no column, v = sigma_uK²).
+    cavity mean's own variance as v = cavity_var_uK2; sigma_uK is √diag(Σ). Independent
+    gaps have an L of no column, np.zeros((k, 0)), and v = sigma_uK².
     """
 
     field_mT: np.ndarray
@@ -127,17 +127,17 @@ class DifferentialSignal:
     max_gap_uK: float
     field_at_max_mT: float
     sigma_at_max_uK: float
-    film_factor_uK: np.ndarray | None = None
-    cavity_var_uK2: np.ndarray | None = None
+    film_factor_uK: np.ndarray
+    cavity_var_uK2: np.ndarray
 
     def __post_init__(self):
-        if not len(self.field_mT) == len(self.gap_uK) == len(self.sigma_uK):
+        k = len(self.gap_uK)
+        if not len(self.field_mT) == len(self.sigma_uK) == len(self.cavity_var_uK2) == k:
             raise ValueError("differential signal arrays must have one length")
+        if np.ndim(self.film_factor_uK) != 2 or len(self.film_factor_uK) != k:
+            raise ValueError("film_factor_uK must have one row per field")
         if not np.isfinite([self.field_mT, self.gap_uK, self.sigma_uK]).all():
             raise NonFiniteResult("differential signal arrays must be finite")
-        if self.film_factor_uK is None:
-            object.__setattr__(self, "film_factor_uK", np.zeros((len(self.gap_uK), 0)))
-            object.__setattr__(self, "cavity_var_uK2", self.sigma_uK ** 2)
 
     @property
     def z(self) -> np.ndarray:

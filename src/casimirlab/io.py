@@ -144,11 +144,11 @@ def _data_lines(body) -> list:
     return [(n, line) for n, line in enumerate(body.split("\n"), 2) if line]
 
 
-def read_csv(path, columns, text_columns=()) -> dict:
+def read_csv(path, columns, text_columns=(), infinite_columns=()) -> dict:
     """{column: array} of a `write_csv` table; text_columns stay str, the rest finite floats.
 
-    Empty lines are skipped. Malformed content is a DataError naming the
-    file (and line).
+    A column of infinite_columns may also hold ±inf, never NaN. Empty lines are
+    skipped. Malformed content is a DataError naming the file (and line).
     """
     try:
         header, _, body = Path(path).read_text().partition("\n")
@@ -170,7 +170,9 @@ def read_csv(path, columns, text_columns=()) -> dict:
                 raise DataError(f"{path}: line {n}: {str(row_exc).split(' at row')[0]}") from exc
         raise DataError(f"{path}: {exc}") from exc
     for name in columns:
-        finite = name in text_columns or np.isfinite(data[name])
+        if name in text_columns:
+            continue
+        finite = ~np.isnan(data[name]) if name in infinite_columns else np.isfinite(data[name])
         if not np.all(finite):
             line = _data_lines(body)[np.argmin(finite)][0]
             raise DataError(f"{path}: line {line}: non-finite {name}")

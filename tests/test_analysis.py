@@ -1054,6 +1054,9 @@ class TestDifferentialAndSensitivity:
     ("signal", "gap_uK", np.array([1.0, math.nan])),
     ("signal", "sigma_uK", np.array([math.inf, 1.0])),
     ("signal", "gap_uK", np.array([1.0])),
+    ("signal", "film_factor_uK", np.zeros((3, 1))),
+    ("signal", "film_factor_uK", np.zeros(2)),
+    ("signal", "cavity_var_uK2", np.ones(3)),
     ("shift", "field_mT", math.nan),
     ("shift", "field_mT", -math.inf),
 ])
@@ -1065,7 +1068,8 @@ def test_records_reject_non_finite_values(record, key, value):
         "signal": analysis.DifferentialSignal(
             field_mT=np.array([1.0, 2.0]), gap_uK=np.array([1.0, 2.0]),
             sigma_uK=np.array([0.5, 0.5]), max_gap_uK=2.0, field_at_max_mT=2.0,
-            sigma_at_max_uK=0.5),
+            sigma_at_max_uK=0.5, film_factor_uK=np.zeros((2, 0)),
+            cavity_var_uK2=np.array([0.25, 0.25])),
     }[record]
     with pytest.raises(ValueError):
         dataclasses.replace(base, **{key: value})
@@ -1247,7 +1251,7 @@ class TestGlobalPValue:
         sigma = np.array([0.5, 1.0, 2.0, 4.0])
         gap = z * sigma * np.array([1.0, 0.25, -1.0, 0.5])
         d = analysis.DifferentialSignal(np.arange(1.0, 5.0), gap, sigma, float(gap[0]), 1.0,
-                                        float(sigma[0]))
+                                        float(sigma[0]), np.zeros((4, 0)), sigma ** 2)
         assert d.significance == z
         reference = 1 - (1 - mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2)) / 2) ** len(sigma)
         assert d.p_global == pytest.approx(float(reference), rel=1e-12)
@@ -1255,9 +1259,9 @@ class TestGlobalPValue:
     def test_zero_sigma(self):
         # a positive gap without noise is infinitely significant; no gap above zero, never
         d = analysis.DifferentialSignal(np.array([1.0, 2.0]), np.array([0.0, 1.0]),
-                                        np.zeros(2), 1.0, 2.0, 0.0)
+                                        np.zeros(2), 1.0, 2.0, 0.0, np.zeros((2, 0)), np.zeros(2))
         assert (d.significance, d.p_global) == (math.inf, 0.0)
-        flat = dataclasses.replace(d, gap_uK=np.array([0.0, -1.0]), film_factor_uK=None)
+        flat = dataclasses.replace(d, gap_uK=np.array([0.0, -1.0]))
         assert (flat.significance, flat.p_global) == (0.0, 1.0)
 
 

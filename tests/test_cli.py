@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -30,7 +31,7 @@ from casimirlab.config import (
     load_config,
     write_example_config,
 )
-from casimirlab.errors import ConfigError, IncompleteTriplet
+from casimirlab.errors import ConfigError, DataError, IncompleteTriplet
 from casimirlab.io import (
     SWEEP_COLUMNS,
     load_dataset,
@@ -437,6 +438,19 @@ class TestTableCsv:
             expected = np.array([float(row[j]) for row in self.ROWS])
             assert table[name].dtype == np.float64
             assert np.array_equal(table[name].view(np.uint64), expected.view(np.uint64))
+
+    def test_infinite_columns_hold_inf_but_not_nan(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ("x", "z"), [(1.0, math.inf), (2.0, -math.inf)])
+        table = read_csv(tmp_path / "t.csv", ("x", "z"), infinite_columns=("z",))
+        assert table["z"].tolist() == [math.inf, -math.inf]
+        with pytest.raises(DataError, match="line 2: non-finite z"):
+            read_csv(tmp_path / "t.csv", ("x", "z"))
+        write_csv(tmp_path / "t.csv", ("x", "z"), [(1.0, math.inf), (math.inf, 0.0)])
+        with pytest.raises(DataError, match="line 3: non-finite x"):
+            read_csv(tmp_path / "t.csv", ("x", "z"), infinite_columns=("z",))
+        write_csv(tmp_path / "t.csv", ("x", "z"), [(1.0, math.nan)])
+        with pytest.raises(DataError, match="line 2: non-finite z"):
+            read_csv(tmp_path / "t.csv", ("x", "z"), infinite_columns=("z",))
 
 
 def _edit_array(edit):
@@ -1056,6 +1070,21 @@ class TestEndToEndExactness:
         self.check_differential(config, shifts["field_mT"][cavity].tolist(),
                                 diff["field_mT"], diff["gap_uK"])
 
+    def test_noiseless_differential_round_trips(self, runner, tmp_path):
+        # without noise or drift every σ is 0, so z is inf wherever the gap is positive:
+        # the one column that read_csv lets hold an infinity
+        text = re.sub(r"(?m)^drift_uK_per_hr = .*$", "drift_uK_per_hr = 0",
+                      re.sub(r"(?m)^sigma_fast_uK = .*$", "sigma_fast_uK = 0", EXAMPLE_CONFIG))
+        out = simulate_run(runner, tmp_path, text)
+        run_ok(runner, ["analyze", str(out), "--quiet"])
+        path = out / "analysis" / "differential.csv"
+        diff = read_csv(path, DIFFERENTIAL_COLUMNS, infinite_columns=("z",))
+        assert np.all(diff["sigma_uK"] == 0.0)
+        np.testing.assert_array_equal(diff["z"], np.where(diff["gap_uK"] > 0, np.inf, 0.0))
+        assert np.isinf(diff["z"]).any()
+        with pytest.raises(DataError, match="non-finite z"):
+            read_csv(path, DIFFERENTIAL_COLUMNS)
+
 
 class TestAnalyzeCommand:
     @pytest.fixture
@@ -1437,7 +1466,8 @@ import numpy as np
 import casimirlab.cli
 from casimirlab.analysis import DifferentialSignal
 print(sorted({"hashlib", "numpy.polynomial"} & set(sys.modules)))
-DifferentialSignal(np.arange(2.0), np.ones(2), np.ones(2), 1.0, 0.0, 1.0).p_global
+DifferentialSignal(np.arange(2.0), np.ones(2), np.ones(2), 1.0, 0.0, 1.0, np.zeros((2, 0)),
+                   np.ones(2)).p_global
 print(sorted({"numpy.polynomial"} & set(sys.modules)))
 """
 
